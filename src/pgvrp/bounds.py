@@ -9,26 +9,21 @@ the exact solver to cap its recourse variable:
   the expected second-stage distance attributable to each edge
   (`b_matrix` / `theta_cap`).
 
+Both caps read one vector of per-node detour savings (`detour_savings`),
+which the exact solver's root relaxation shares. That vector and B are
+vectorised numpy passes: the detour of a node is one O(n^2) array
+operation over its entry/exit pairs, and B takes each node's nearest
+member of every other cluster from an (n, m+1) table of per-cluster minima.
+
 A lower bound on the optimal expected length scales the deterministic
 optimum by the smallest cluster probability (`lower_bound_scaled`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import FractionalPoint, Instance, edges
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaBounds:
-    """Container for the recourse caps of one instance."""
-
-    u_simple: float
-    u_clustered: float
-    b: np.ndarray  # (n, n) symmetric
 
 
 def lower_bound_scaled(instance: Instance, gvrp_opt_length: float) -> float:
@@ -37,45 +32,40 @@ def lower_bound_scaled(instance: Instance, gvrp_opt_length: float) -> float:
     return p_min * gvrp_opt_length
 
 
-def _best_detour_saving(instance: Instance, t: int) -> float:
-    """Largest saving (1-p_t)(d_it + d_tj - d_ij) over entry/exit pairs.
+def detour_savings(instance: Instance) -> np.ndarray:
+    """Per node t, the largest saving (1-p_t)(d_it + d_tj - d_ij) its absence
+    can yield; the depot's entry is 0.
 
-    Candidates i, j lie outside t's cluster; the depot is always allowed
-    and may serve as both entry and exit (an out-and-back visit of t), so
-    the pair (0, 0) is always in range. Each term is clamped at zero,
-    which keeps the bound valid on near-metric data.
+    Entry and exit i != j lie outside t's cluster or at the depot; the depot
+    may also serve as both (an out-and-back visit of t, saving 2 d_0t), so
+    the saving is never negative, even on near-metric data.
     """
     d = instance.distances
     p = instance.node_probabilities()
-    ct = instance.cluster_of(t)
-    candidates = [0] + [
-        v for v in range(1, instance.n_nodes) if instance.cluster_of(v) != ct
-    ]
-    factor = 1.0 - p[t]
-    if factor == 0.0:
-        return 0.0
-    best = 2.0 * d[0, t]  # enter and leave through the depot
-    for ai, i in enumerate(candidates):
-        for j in candidates[ai + 1 :]:
-            saving = d[i, t] + d[t, j] - d[i, j]
-            if saving > best:
-                best = saving
-    return factor * max(best, 0.0)
+    cluster = instance._cluster_index
+    out = np.zeros(instance.n_nodes)
+    for t in range(1, instance.n_nodes):
+        if p[t] == 1.0:
+            continue
+        ends = np.flatnonzero(cluster != cluster[t])  # the depot is always in
+        via = d[ends, t][:, None] + d[t, ends] - d[np.ix_(ends, ends)]
+        np.fill_diagonal(via, -np.inf)
+        out[t] = (1.0 - p[t]) * max(2.0 * d[0, t], via.max())
+    return out
 
 
-def ub_simple(instance: Instance) -> float:
+def ub_simple(instance: Instance, detour: np.ndarray | None = None) -> float:
     """Sum over nodes of the largest detour saving their absence can yield."""
-    return float(
-        sum(_best_detour_saving(instance, t) for t in range(1, instance.n_nodes))
-    )
+    if detour is None:
+        detour = detour_savings(instance)
+    return float(sum(detour[1:].tolist()))
 
 
-def ub_clustered(instance: Instance) -> float:
+def ub_clustered(instance: Instance, detour: np.ndarray | None = None) -> float:
     """Per-cluster maximum instead of per-node sum; never looser than ub_simple."""
-    total = 0.0
-    for c in instance.clusters:
-        total += max(_best_detour_saving(instance, t) for t in c.members)
-    return float(total)
+    if detour is None:
+        detour = detour_savings(instance)
+    return float(sum(detour[list(c.members)].max() for c in instance.clusters))
 
 
 def b_matrix(instance: Instance) -> np.ndarray:
@@ -89,23 +79,35 @@ def b_matrix(instance: Instance) -> np.ndarray:
     n = instance.n_nodes
     d = instance.distances
     p = instance.node_probabilities()
-    b = np.zeros((n, n))
-    cluster = [instance.cluster_of(v) for v in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            base = p[i] * p[j] * d[i, j]
-            if i == 0 or cluster[i] == cluster[j]:
-                b[i, j] = b[j, i] = base
-                continue
-            outside = [
-                t
-                for t in range(n)
-                if t != i and t != j and cluster[t] != cluster[i] and cluster[t] != cluster[j]
-            ]
-            min_i = min(d[i, t] for t in outside)
-            min_j = min(d[j, t] for t in outside)
-            val = base + 0.5 * p[i] * (1 - p[j]) * min_i + 0.5 * (1 - p[i]) * p[j] * min_j
-            b[i, j] = b[j, i] = val
+    b = p[:, None] * p[None, :] * d
+    if instance.n_clusters < 2:
+        return b  # every customer pair shares its cluster
+    # nearest[v, k]: distance from v to the closest node of column k, where
+    # column 0 is the depot and column k the k-th cluster; v's own column
+    # is never outside, so it is masked
+    col = instance._cluster_index + 1
+    nearest = np.empty((n, instance.n_clusters + 1))
+    nearest[:, 0] = d[:, 0]
+    for k, c in enumerate(instance.clusters, start=1):
+        nearest[:, k] = d[:, list(c.members)].min(axis=1)
+    nearest[np.arange(n), col] = np.inf
+    order = np.argsort(nearest, axis=1)[:, :2]
+    first_col = order[:, 0]
+    first, second = np.take_along_axis(nearest, order, axis=1).T
+
+    def outside_min(a, other):
+        # closest hop from a to a node outside the clusters of a and other
+        return np.where(first_col[a] == col[other], second[a], first[a])
+
+    i, j = np.nonzero(np.triu(col[:, None] != col[None, :], 1))
+    keep = i > 0
+    i, j = i[keep], j[keep]
+    b[i, j] = (
+        b[i, j]
+        + 0.5 * p[i] * (1 - p[j]) * outside_min(i, j)
+        + 0.5 * (1 - p[i]) * p[j] * outside_min(j, i)
+    )
+    b[j, i] = b[i, j]
     return b
 
 
@@ -120,11 +122,3 @@ def theta_cap(instance: Instance, point: FractionalPoint, b: np.ndarray | None =
         if x:
             total += (d[i, j] - b[i, j]) * x
     return float(total)
-
-
-def theta_bounds(instance: Instance) -> ThetaBounds:
-    return ThetaBounds(
-        u_simple=ub_simple(instance),
-        u_clustered=ub_clustered(instance),
-        b=b_matrix(instance),
-    )

@@ -36,9 +36,8 @@ class AlphaMatrix:
 
 def tour_probabilities(tour: Sequence[int], instance: Instance) -> np.ndarray:
     """Presence probability per tour position (depot ends are 1)."""
-    p = instance.node_probabilities()
     try:
-        return np.array([p[v] for v in tour])
+        return instance.node_probabilities()[np.asarray(tour, dtype=np.intp)]
     except IndexError as exc:
         raise ValidationError(f"unknown node id in tour {tuple(tour)}") from exc
 

@@ -121,12 +121,10 @@ def build_root(instance: Instance) -> RootRelaxation:
     col_theta = ne + n
     d = instance.distances
     b_mat = bounds_mod.b_matrix(instance)
-    detour = np.array(
-        [0.0] + [bounds_mod._best_detour_saving(instance, t) for t in range(1, n)]
+    detour = bounds_mod.detour_savings(instance)
+    U = min(
+        bounds_mod.ub_simple(instance, detour), bounds_mod.ub_clustered(instance, detour)
     )
-    u_clustered = sum(max(detour[t] for t in c.members) for c in instance.clusters)
-    u_simple = float(detour[1:].sum())
-    U = min(u_simple, u_clustered)
 
     c = np.zeros(nv)
     for e, idx in eidx.items():
@@ -503,12 +501,10 @@ def _node_lp(root: RootRelaxation, cut_rows, node: BranchNode) -> LinearProgram:
 
 
 def _u_for_exclusions(root: RootRelaxation, excluded: frozenset[int]) -> float:
-    total = 0.0
-    for c in root.instance.clusters:
-        allowed = [t for t in c.members if t not in excluded]
-        if allowed:
-            total += max(root.detour[t] for t in allowed)
-    return min(total, root.U)
+    # an excluded node is never visited, so it contributes no saving
+    detour = root.detour.copy()
+    detour[list(excluded)] = 0.0
+    return min(bounds_mod.ub_clustered(root.instance, detour), root.U)
 
 
 def _branch_variable(point: FractionalPoint, root: RootRelaxation) -> tuple[int, float] | None:
@@ -566,7 +562,9 @@ def solve_exact(
 
     stack = [
         BranchNode(
-            fixings=(), depth=0, bound=-math.inf, excluded=frozenset(), u_local=root.U
+            # expected lengths are non-negative, so 0 bounds the root
+            # before its LP is solved
+            fixings=(), depth=0, bound=0.0, excluded=frozenset(), u_local=root.U
         )
     ]
     timed_out = False
@@ -681,15 +679,17 @@ def solve_exact(
             stack.append(hi_child)
 
         while True:
-            if out_of_budget():
-                # hand the half-processed region back so its bound still
-                # counts toward the reported global lower bound
-                stack.append(node)
-                break
             if sol.status == "infeasible":
                 note("prune", math.inf)
                 break
             obj = float(sol.objective)
+            if out_of_budget():
+                # hand the half-processed region back with the bound its
+                # last LP proved, so it still counts toward the reported
+                # global lower bound
+                node.bound = max(node.bound, obj)
+                stack.append(node)
+                break
             if obj >= z_best - PRUNE_TOL:
                 note("prune", obj)
                 break

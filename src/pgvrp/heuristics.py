@@ -3,7 +3,10 @@
 The stochastic heuristics rank candidate insertions by *expected* insertion
 value: the exact increase in expected tour length caused by splicing a node
 into a slot, accounting for every presence scenario of the surrounding
-nodes. Three builders use it:
+nodes. `insertion_values` computes it for every slot of a tour and every
+candidate node at once, from the predecessor and successor weights of each
+slot and three matrix products; each builder makes one such call per
+partial tour per step. Three builders use it:
 
 * min-min: globally cheapest insertion, vehicle by vehicle under a
   clusters-per-tour capacity;
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,15 +31,45 @@ from .model import AprioriSolution, Instance, ValidationError
 from .evaluation import tour_probabilities
 
 
-@dataclass(frozen=True)
-class InsertionCandidate:
-    node: int
-    tour_index: int
-    position: int
-    value: float
+def _predecessor_weights(p: np.ndarray) -> np.ndarray:
+    """W[s-1, r]: probability that position r is the realized predecessor of
+    slot s, i.e. p_r times the absence of every position strictly between;
+    zero for r >= s."""
+    h = len(p)
+    later = np.arange(h)[None, :] > np.arange(h)[:, None]
+    # between[r, q] = prod_{r < u <= q} (1 - p_u)
+    between = np.cumprod(np.where(later, 1.0 - p, 1.0), axis=1)
+    return np.tril((p[:, None] * between).T)[: h - 1]
 
-    def sort_key(self):
-        return (self.value, self.node, self.tour_index, self.position)
+
+def insertion_values(
+    tour: Sequence[int], nodes: Sequence[int], instance: Instance
+) -> np.ndarray:
+    """Expected-length increase of inserting each node at each slot of a tour.
+
+    Entry [s-1, k] is the value of inserting `nodes[k]` at slot s (between
+    positions s-1 and s). The node pairs with every possible realized
+    predecessor r < s and successor z >= s, weighted by W[s-1, r] and
+    V[s-1, z], the probabilities that r and z are present and everything
+    between them absent; the closing depot acts as a final successor with
+    probability one. One matrix product per term covers every slot and node.
+    """
+    tour = np.asarray(tour, dtype=np.intp)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    p = tour_probabilities(tour, instance)
+    w = _predecessor_weights(p)
+    v = _predecessor_weights(p[::-1])[::-1, ::-1]  # successors: the mirror image
+    d = instance.distances
+    d_tn = d[np.ix_(tour, nodes)]
+    to_node = w @ d_tn
+    from_node = v @ d_tn
+    across = ((w @ d[np.ix_(tour, tour)]) * v).sum(axis=1)
+    p_nodes = instance.node_probabilities()[nodes]
+    return p_nodes * (
+        to_node * v.sum(axis=1)[:, None]
+        + w.sum(axis=1)[:, None] * from_node
+        - across[:, None]
+    )
 
 
 def expected_insertion_value(
@@ -46,42 +78,31 @@ def expected_insertion_value(
     """Exact expected-length increase of inserting `node` at `slot`.
 
     `slot` is the index the node takes in the new tour, i.e. the insertion
-    happens between positions slot-1 and slot of the current tour. The
-    candidate node pairs with every possible realized predecessor r < slot
-    and successor z >= slot, weighted by the probability that the nodes
-    between them are absent; the closing depot acts as a final successor
-    with probability one.
+    happens between positions slot-1 and slot of the current tour; see
+    `insertion_values` for the formula.
     """
     tour = tuple(tour)
     if not (1 <= slot <= len(tour) - 1):
         raise ValidationError(f"slot {slot} invalid for tour of length {len(tour)}")
     if node in tour[1:-1]:
         raise ValidationError(f"node {node} already on the tour")
-    p = tour_probabilities(tour, instance)
-    pj = instance.node_probabilities()[node]
-    if pj == 0.0:
-        return 0.0
-    d = instance.distances
-    nodes = np.asarray(tour)
+    return float(insertion_values(tour, [node], instance)[slot - 1, 0])
 
-    # w[r]: probability r is the realized predecessor of the slot
-    w = np.zeros(slot)
-    absent = 1.0
-    for r in range(slot - 1, -1, -1):
-        w[r] = p[r] * absent
-        absent *= 1.0 - p[r]
-    # v[z]: probability z is the realized successor of the slot
-    v = np.zeros(len(tour) - slot)
-    absent = 1.0
-    for z in range(slot, len(tour)):
-        v[z - slot] = p[z] * absent
-        absent *= 1.0 - p[z]
 
-    before, after = nodes[:slot], nodes[slot:]
-    to_node = d[before, node] @ w
-    from_node = d[node, after] @ v
-    across = w @ d[np.ix_(before, after)] @ v
-    return float(pj * (to_node * v.sum() + w.sum() * from_node - across))
+def _cheapest(values: np.ndarray, nodes: np.ndarray) -> tuple[float, int, int]:
+    """(value, node, slot) of the smallest entry of a slots-by-nodes block.
+
+    With `nodes` ascending, ties go to the smaller node, then the earlier
+    slot: the order of the key (value, node, tour index, slot) that every
+    builder ranks insertions by.
+    """
+    k = int(values.T.argmin())
+    at, slot = divmod(k, values.shape[0])
+    return float(values[slot, at]), int(nodes[at]), slot + 1
+
+
+def _insert(tour: tuple[int, ...], node: int, slot: int) -> tuple[int, ...]:
+    return tour[:slot] + (node,) + tour[slot:]
 
 
 def _cluster_capacity(instance: Instance, capacity: int | None) -> int:
@@ -97,23 +118,6 @@ def _cluster_capacity(instance: Instance, capacity: int | None) -> int:
     return capacity
 
 
-def _insertions_into(
-    tour: tuple[int, ...], tour_index: int, members: Sequence[int], instance: Instance
-):
-    for node in members:
-        for slot in range(1, len(tour)):
-            yield InsertionCandidate(
-                node,
-                tour_index,
-                slot,
-                expected_insertion_value(tour, slot, node, instance),
-            )
-
-
-def _insert(tour: tuple[int, ...], cand: InsertionCandidate) -> tuple[int, ...]:
-    return tour[: cand.position] + (cand.node,) + tour[cand.position :]
-
-
 def _pad_to_k(tours: list[tuple[int, ...]], k: int) -> AprioriSolution:
     return AprioriSolution(tuple(tours + [(0, 0)] * (k - len(tours))))
 
@@ -121,24 +125,23 @@ def _pad_to_k(tours: list[tuple[int, ...]], k: int) -> AprioriSolution:
 def _build_capacitated(instance: Instance, capacity: int | None, pick) -> AprioriSolution:
     """Vehicle-by-vehicle construction shared by the capacitated builders.
 
-    `pick` selects one candidate from the per-cluster candidate lists of the
-    current partial tour.
+    `pick` selects one of the per-cluster cheapest insertions, given as
+    (value, node, slot) tuples, into the current partial tour.
     """
     capacity = _cluster_capacity(instance, capacity)
     unvisited = set(range(instance.n_clusters))
     tours: list[tuple[int, ...]] = []
     tour: tuple[int, ...] = (0, 0)
     while unvisited:
-        per_cluster = [
-            sorted(
-                _insertions_into(tour, len(tours), instance.clusters[ci].members, instance),
-                key=InsertionCandidate.sort_key,
-            )
-            for ci in sorted(unvisited)
-        ]
-        chosen = pick(per_cluster)
-        tour = _insert(tour, chosen)
-        unvisited.discard(instance.cluster_of(chosen.node))
+        groups = [np.array(instance.clusters[ci].members) for ci in sorted(unvisited)]
+        values = insertion_values(tour, np.concatenate(groups), instance)
+        best, at = [], 0
+        for members in groups:
+            best.append(_cheapest(values[:, at : at + len(members)], members))
+            at += len(members)
+        _, node, slot = pick(best)
+        tour = _insert(tour, node, slot)
+        unvisited.discard(instance.cluster_of(node))
         if len(tour) - 2 >= capacity and unvisited:
             tours.append(tour)
             tour = (0, 0)
@@ -148,21 +151,14 @@ def _build_capacitated(instance: Instance, capacity: int | None, pick) -> Aprior
 
 def solve_mmI(instance: Instance, capacity: int | None = None) -> AprioriSolution:
     """Min-min insertion: always take the globally cheapest insertion."""
-
-    def pick(per_cluster):
-        return min(
-            (cands[0] for cands in per_cluster), key=InsertionCandidate.sort_key
-        )
-
-    return _build_capacitated(instance, capacity, pick)
+    return _build_capacitated(instance, capacity, min)
 
 
 def solve_MmI(instance: Instance, capacity: int | None = None) -> AprioriSolution:
     """Max-min insertion: place the cluster whose best insertion is worst."""
 
-    def pick(per_cluster):
-        best = [cands[0] for cands in per_cluster]
-        return min(best, key=lambda c: (-c.value, c.node, c.tour_index, c.position))
+    def pick(best):
+        return min(best, key=lambda c: (-c[0], c[1], c[2]))
 
     return _build_capacitated(instance, capacity, pick)
 
@@ -170,33 +166,27 @@ def solve_MmI(instance: Instance, capacity: int | None = None) -> AprioriSolutio
 def solve_unbounded(instance: Instance) -> AprioriSolution:
     """Seed each vehicle with one cluster, then insert without capacity."""
     unvisited = set(range(instance.n_clusters))
+
+    def candidates() -> np.ndarray:
+        return np.flatnonzero(np.isin(instance._cluster_index, sorted(unvisited)))
+
     tours: list[tuple[int, ...]] = []
     for _ in range(instance.vehicles):
         if not unvisited:
             break
-        members = [
-            m for ci in sorted(unvisited) for m in instance.clusters[ci].members
-        ]
-        chosen = min(
-            _insertions_into((0, 0), len(tours), members, instance),
-            key=InsertionCandidate.sort_key,
-        )
-        tours.append(_insert((0, 0), chosen))
-        unvisited.discard(instance.cluster_of(chosen.node))
+        nodes = candidates()
+        _, node, slot = _cheapest(insertion_values((0, 0), nodes, instance), nodes)
+        tours.append(_insert((0, 0), node, slot))
+        unvisited.discard(instance.cluster_of(node))
     while unvisited:
-        members = [
-            m for ci in sorted(unvisited) for m in instance.clusters[ci].members
-        ]
-        chosen = min(
-            (
-                cand
-                for ti, t in enumerate(tours)
-                for cand in _insertions_into(t, ti, members, instance)
-            ),
-            key=InsertionCandidate.sort_key,
-        )
-        tours[chosen.tour_index] = _insert(tours[chosen.tour_index], chosen)
-        unvisited.discard(instance.cluster_of(chosen.node))
+        nodes = candidates()
+        best = []
+        for ti, t in enumerate(tours):
+            value, node, slot = _cheapest(insertion_values(t, nodes, instance), nodes)
+            best.append((value, node, ti, slot))
+        _, node, ti, slot = min(best)
+        tours[ti] = _insert(tours[ti], node, slot)
+        unvisited.discard(instance.cluster_of(node))
     return _pad_to_k(tours, instance.vehicles)
 
 

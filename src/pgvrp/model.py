@@ -145,11 +145,12 @@ class Instance:
 
     def node_probabilities(self) -> np.ndarray:
         """Presence probability per node; the depot is always present."""
-        p = np.ones(self.n_nodes)
-        for c in self.clusters:
-            for m in c.members:
-                p[m] = c.probability
-        p.setflags(write=False)
+        p = getattr(self, "_node_probabilities_cache", None)
+        if p is None:
+            per_column = np.array([1.0] + [c.probability for c in self.clusters])
+            p = per_column[self._cluster_index + 1]
+            p.setflags(write=False)
+            object.__setattr__(self, "_node_probabilities_cache", p)
         return p
 
     def with_probability_one(self) -> "Instance":

@@ -62,6 +62,15 @@ def test_run_suite_rows_and_deviation():
             assert r.deviation is not None and r.deviation >= -1e-12
 
 
+def test_heuristic_against_unsolved_root_is_vs_bound():
+    # no LP finishes in a zero budget: the exact row reports the trivial
+    # bound 0, against which no deviation exists
+    insts = generate(SuiteSpec(rows=[(8, 3, 1)], seed=11))
+    heur, exact = run_suite(insts, ["MmI", "exact"], time_limit=0.0)
+    assert (exact.status, exact.objective) == ("L", 0.0)
+    assert (heur.status, heur.exact_ref, heur.deviation) == ("vs-bound", 0.0, None)
+
+
 def test_csv_schema_and_stability():
     insts = generate(SuiteSpec(rows=[(8, 3, 1)], seed=11))
     rows = run_suite(insts, ["MmI", "oracle"], time_limit=30)

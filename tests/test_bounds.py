@@ -5,6 +5,7 @@ import pytest
 
 from pgvrp.bounds import (
     b_matrix,
+    detour_savings,
     lower_bound_scaled,
     theta_cap,
     ub_clustered,
@@ -19,7 +20,92 @@ from pgvrp.oracle import (
     gvrp_optimal,
 )
 
-from conftest import explicit_instance, random_euclid_instance
+from conftest import euclid_instance, explicit_instance, random_euclid_instance
+
+
+# scalar reference loops; the vectorised bounds must reproduce them exactly
+
+
+def reference_detour(instance, t):
+    d = instance.distances
+    p = instance.node_probabilities()
+    ct = instance.cluster_of(t)
+    candidates = [0] + [
+        v for v in range(1, instance.n_nodes) if instance.cluster_of(v) != ct
+    ]
+    factor = 1.0 - p[t]
+    if factor == 0.0:
+        return 0.0
+    best = 2.0 * d[0, t]
+    for ai, i in enumerate(candidates):
+        for j in candidates[ai + 1 :]:
+            saving = d[i, t] + d[t, j] - d[i, j]
+            if saving > best:
+                best = saving
+    return factor * max(best, 0.0)
+
+
+def reference_b_matrix(instance):
+    n = instance.n_nodes
+    d = instance.distances
+    p = instance.node_probabilities()
+    b = np.zeros((n, n))
+    cluster = [instance.cluster_of(v) for v in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            base = p[i] * p[j] * d[i, j]
+            if i == 0 or cluster[i] == cluster[j]:
+                b[i, j] = b[j, i] = base
+                continue
+            outside = [
+                t
+                for t in range(n)
+                if t != i and t != j and cluster[t] != cluster[i] and cluster[t] != cluster[j]
+            ]
+            min_i = min(d[i, t] for t in outside)
+            min_j = min(d[j, t] for t in outside)
+            val = base + 0.5 * p[i] * (1 - p[j]) * min_i + 0.5 * (1 - p[i]) * p[j] * min_j
+            b[i, j] = b[j, i] = val
+    return b
+
+
+def _random_partition(rng, n, m, p_one):
+    """m shuffled clusters over nodes 1..n-1; each is certain with
+    probability p_one."""
+    ids = rng.permutation(np.arange(1, n)).tolist()
+    cuts = np.sort(rng.choice(np.arange(1, n - 1), size=m - 1, replace=False))
+    groups = np.split(np.array(ids), cuts)
+    return [
+        (1.0 if rng.random() < p_one else float(rng.uniform(0.05, 0.95)), g.tolist())
+        for g in groups
+    ]
+
+
+def _equivalence_instances(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        m = int(rng.choice([1, n - 1, int(rng.integers(1, n))]))
+        clusters = _random_partition(rng, n, m, p_one=0.3)
+        coords = np.vstack([[50.0, 50.0], rng.uniform(0.0, 100.0, size=(n - 1, 2))])
+        yield euclid_instance(coords, clusters)
+        # explicit and non-metric, so some detour savings clamp at zero
+        d = rng.uniform(1.0, 100.0, size=(n, n))
+        d = np.triu(d, 1) + np.triu(d, 1).T
+        yield explicit_instance(d, clusters)
+
+
+def test_vectorised_bounds_equal_reference_loops(rng):
+    for inst in _equivalence_instances(rng):
+        n = inst.n_nodes
+        expect = [0.0] + [reference_detour(inst, t) for t in range(1, n)]
+        detour = detour_savings(inst)
+        assert detour.tolist() == expect
+        assert ub_simple(inst) == float(sum(expect[1:]))
+        total = 0.0
+        for c in inst.clusters:
+            total += max(expect[t] for t in c.members)
+        assert ub_clustered(inst) == total
+        assert np.array_equal(b_matrix(inst), reference_b_matrix(inst))
 
 
 def test_all_certain_gives_zero_caps(rng):

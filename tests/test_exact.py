@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pgvrp.bench import SuiteSpec, generate
 from pgvrp.evaluation import expected_length, expected_recourse
 from pgvrp.exact import (
     build_root,
@@ -183,7 +184,16 @@ def test_time_limit_returns_bound(rng):
     res = solve_exact(inst, time_limit=0.0)
     assert res.status in ("bound-only", "optimal")
     assert res.solution is not None  # heuristic incumbent always exists
+    assert math.isfinite(res.lower_bound)
     assert res.lower_bound <= res.objective + 1e-9
+
+
+def test_node_limit_inside_root_keeps_finite_bound():
+    # the budget runs out after the root LP, before its cut loop finishes
+    res = solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=1)
+    assert res.status == "bound-only"
+    assert math.isfinite(res.lower_bound)
+    assert 0.0 < res.lower_bound <= res.objective
 
 
 def test_exact_345():

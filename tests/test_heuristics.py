@@ -9,6 +9,7 @@ from pgvrp.evaluation import expected_length, tour_expected_length
 from pgvrp.heuristics import (
     clarke_wright,
     expected_insertion_value,
+    insertion_values,
     solve_MmI,
     solve_mmI,
     solve_unbounded,
@@ -61,6 +62,24 @@ def test_insertion_identity_random(rng):
         after = tour[:slot] + (node,) + tour[slot:]
         delta = tour_expected_length(after, inst) - tour_expected_length(tour, inst)
         assert val == pytest.approx(delta, abs=1e-9)
+
+
+def test_insertion_values_every_slot_and_node(rng):
+    for _ in range(40):
+        n = int(rng.integers(3, 12))
+        inst = random_euclid_instance(rng, n, int(rng.integers(1, n)), 1)
+        size = int(rng.integers(0, n - 1))
+        interior = rng.permutation(np.arange(1, n))[:size].tolist()
+        tour = (0, *interior, 0)
+        nodes = [v for v in range(1, n) if v not in interior]
+        values = insertion_values(tour, nodes, inst)
+        assert values.shape == (len(tour) - 1, len(nodes))
+        base = tour_expected_length(tour, inst)
+        for slot in range(1, len(tour)):
+            for k, node in enumerate(nodes):
+                after = tour[:slot] + (node,) + tour[slot:]
+                delta = tour_expected_length(after, inst) - base
+                assert abs(values[slot - 1, k] - delta) <= 1e-9
 
 
 def test_insertion_invalid_slot():
