@@ -34,8 +34,9 @@ from .model import (
     FractionalPoint,
     Instance,
     ValidationError,
+    edge_endpoints,
     edge_index,
-    edges,
+    incidence_point,
     triangle_check,
 )
 from .simplex import (
@@ -65,16 +66,12 @@ class GsecCut:
 class RootRelaxation:
     instance: Instance
     lp: LinearProgram
-    edge_list: list[tuple[int, int]]
     edge_idx: dict[tuple[int, int], int]
     n_edges: int
     col_theta: int
     U: float
     b: np.ndarray
     detour: np.ndarray  # per-node best detour saving, for node-local caps
-
-    def col_x(self, e: tuple[int, int]) -> int:
-        return self.edge_idx[e]
 
     def col_y(self, t: int) -> int:
         return self.n_edges + t
@@ -114,9 +111,8 @@ def build_root(instance: Instance) -> RootRelaxation:
     """
     n = instance.n_nodes
     k = min(instance.vehicles, instance.n_clusters)
-    edge_list = edges(n)
     eidx = edge_index(n)
-    ne = len(edge_list)
+    ne = len(eidx)
     nv = ne + n + 1
     col_theta = ne + n
     d = instance.distances
@@ -194,7 +190,6 @@ def build_root(instance: Instance) -> RootRelaxation:
     return RootRelaxation(
         instance=instance,
         lp=lp,
-        edge_list=edge_list,
         edge_idx=eidx,
         n_edges=ne,
         col_theta=col_theta,
@@ -209,14 +204,18 @@ def build_root(instance: Instance) -> RootRelaxation:
 # ---------------------------------------------------------------------------
 
 
+def _support(point: FractionalPoint, n: int, tol: float):
+    """(i, j, x_ij) of every edge above tol, in edge order."""
+    I, J = edge_endpoints(n)
+    idx = np.flatnonzero(point.x > tol)
+    return zip(I[idx].tolist(), J[idx].tolist(), point.x[idx].tolist())
+
+
 def _support_adjacency(point: FractionalPoint, instance: Instance, tol: float):
-    n = instance.n_nodes
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for idx, (i, j) in enumerate(edges(n)):
-        w = float(point.x[idx])
-        if w > tol:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(instance.n_nodes)]
+    for i, j, w in _support(point, instance.n_nodes, tol):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
     return adj
 
 
@@ -291,14 +290,12 @@ class _MaxFlow:
             flow += push
 
 
-def _crossing_value(point: FractionalPoint, S: frozenset[int], n: int) -> float:
-    eidx = edge_index(n)
-    total = 0.0
-    for i in S:
-        for j in range(n):
-            if j != i and j not in S:
-                total += float(point.x[eidx[(min(i, j), max(i, j))]])
-    return total
+def _crossing(S: frozenset[int], n: int) -> np.ndarray:
+    """Mask over `edges(n)` of the edges with exactly one end in S."""
+    in_S = np.zeros(n, dtype=bool)
+    in_S[list(S)] = True
+    I, J = edge_endpoints(n)
+    return in_S[I] != in_S[J]
 
 
 def separate_gsec(
@@ -325,7 +322,7 @@ def separate_gsec(
             return
         seen_sets.add(S)
         anchor = max(S, key=lambda v: (point.y[v], -v))
-        if 2.0 * point.y[anchor] - _crossing_value(point, S, n) > tol:
+        if 2.0 * point.y[anchor] - float(point.x[_crossing(S, n)].sum()) > tol:
             cuts.append(GsecCut(S, anchor))
 
     depot_comp: set[int] = set()
@@ -338,10 +335,8 @@ def separate_gsec(
     if not include_min_cut:
         return cuts
     flow_net = _MaxFlow(n)
-    for idx, (i, j) in enumerate(edges(n)):
-        w = float(point.x[idx])
-        if w > tol:
-            flow_net.add(i, j, w)
+    for i, j, w in _support(point, n, tol):
+        flow_net.add(i, j, w)
     handled: set[int] = set()
     for t in sorted(range(1, n), key=lambda v: (-point.y[v], v)):
         if point.y[t] <= tol or t not in depot_comp or t in handled:
@@ -356,10 +351,7 @@ def separate_gsec(
 
 def gsec_row(cut: GsecCut, root: RootRelaxation) -> tuple[np.ndarray, str, float]:
     row = np.zeros(root.lp.n_vars)
-    for i in cut.S:
-        for j in range(root.instance.n_nodes):
-            if j not in cut.S and j != i:
-                row[root.edge_idx[(min(i, j), max(i, j))]] = 1.0
+    row[: root.n_edges][_crossing(cut.S, root.instance.n_nodes)] = 1.0
     row[root.col_y(cut.anchor)] = -2.0
     return row, GE, 0.0
 
@@ -367,36 +359,27 @@ def gsec_row(cut: GsecCut, root: RootRelaxation) -> tuple[np.ndarray, str, float
 def optimality_cut(
     sol: AprioriSolution, instance: Instance, U: float, root: RootRelaxation
 ) -> tuple[np.ndarray, str, float]:
-    """Recourse cut exact at this solution's incidence vector.
-
-    theta <= U + (Q - U) (sum_{support} x_e - s + 1) with s the total edge
-    weight of the solution; at the generating point the right side is Q,
-    at every other candidate it is at least U.
-    """
+    """Recourse cut exact at this solution's incidence vector."""
     q_val = expected_recourse(sol, instance, check=False)
-    counts = sol.edge_counts()
-    s_total = float(sum(counts.values()))
-    row = np.zeros(root.lp.n_vars)
-    row[root.col_theta] = 1.0
-    for e in counts:
-        row[root.edge_idx[e]] = U - q_val
-    rhs = U + (q_val - U) * (1.0 - s_total)
-    return row, LE, rhs
+    return _recourse_cut(incidence_point(instance, sol).x, q_val, U, root)
 
 
-def _optcut_from_point(
-    point_x: np.ndarray, q_val: float, U: float, root: RootRelaxation
+def _recourse_cut(
+    x: np.ndarray, q_val: float, U: float, root: RootRelaxation
 ) -> tuple[np.ndarray, str, float]:
-    """Same cut built from a raw integral x vector (junk edges included)."""
+    """Recourse cut exact at an integral edge vector x whose tours save Q.
+
+    theta <= U + (Q - U) (sum_{support} x_e - s + 1) with Q = q_val and s
+    the total edge weight of x; at the generating point the right side is
+    Q, at every other candidate it is at least U. An LP point may add junk
+    edges, which join the support.
+    """
+    counts = np.rint(x[: root.n_edges])
+    support = counts >= 1
     row = np.zeros(root.lp.n_vars)
     row[root.col_theta] = 1.0
-    s_total = 0.0
-    for idx in range(root.n_edges):
-        cnt = round(float(point_x[idx]))
-        if cnt >= 1:
-            row[idx] = U - q_val
-            s_total += cnt
-    rhs = U + (q_val - U) * (1.0 - s_total)
+    row[: root.n_edges][support] = U - q_val
+    rhs = U + (q_val - U) * (1.0 - float(counts[support].sum()))
     return row, LE, rhs
 
 
@@ -417,14 +400,11 @@ def decode_tours(
     """
     n = instance.n_nodes
     k = min(instance.vehicles, instance.n_clusters)
-    remaining: dict[tuple[int, int], int] = {}
-    degree = np.zeros(n, dtype=int)
-    for idx, e in enumerate(edges(n)):
-        cnt = round(float(x[idx]))
-        if cnt:
-            remaining[e] = cnt
-            degree[e[0]] += cnt
-            degree[e[1]] += cnt
+    I, J = edge_endpoints(n)
+    counts = np.rint(x[: len(I)]).astype(int)
+    degree = np.bincount(I, counts, n) + np.bincount(J, counts, n)
+    used = np.flatnonzero(counts)
+    remaining = dict(zip(zip(I[used].tolist(), J[used].tolist()), counts[used].tolist()))
     if degree[0] != 2 * k:
         return None, 0
     if np.any(degree[1:] > 2):
@@ -554,6 +534,8 @@ def solve_exact(
     pooled_gsec: set[tuple[frozenset[int], int]] = set()
     log: list[str] = []
     stats = {"nodes": 0, "lp_solves": 0, "gsec_cuts": 0, "opt_cuts": 0}
+    # warm starts that fell back to a cold solve, each with its reason
+    stats["warm_fallbacks"], stats["warm_fallback_reasons"] = 0, []
     root_m = root.lp.n_rows
     nv = root.lp.n_vars
 
@@ -635,15 +617,24 @@ def solve_exact(
             note("prune", node.bound)
             continue
 
+        def counted(sol):
+            stats["lp_solves"] += 1
+            if sol.fallback is not None:
+                stats["warm_fallbacks"] += 1
+                stats["warm_fallback_reasons"].append(f"node {node_id}: {sol.fallback}")
+            return sol
+
         pool_at_entry = len(cut_rows)
         n_fix = sum(1 for k, _, _ in node.fixings if k == "lb")
+        # drop the previous node's LP, and the live core its last solution
+        # carries, before building this one: memory holds one node's LP
+        lp = sol = None
         lp = _node_lp(root, cut_rows, node)
         plan = warm_start_plan(node, pool_at_entry, lp.n_rows)
         if plan is not None:
-            sol = warm_solve(lp, plan[0], node.x_prev, plan[1], options)
+            sol = counted(warm_solve(lp, plan[0], node.x_prev, plan[1], options))
         else:
-            sol = solve(lp, options)
-        stats["lp_solves"] += 1
+            sol = counted(solve(lp, options))
 
         def push_children(col, lo_val, hi_val, obj, sol):
             excl = node.excluded
@@ -661,7 +652,7 @@ def solve_exact(
                 x_prev=sol.x,
                 pool_at_parent=pool_at_entry,
                 parent_fixes=n_fix,
-                parent_rows=lp.n_rows,
+                parent_rows=len(sol.basis),
             )
             hi_child = BranchNode(
                 fixings=node.fixings + (("lb", col, hi_val),),
@@ -673,7 +664,7 @@ def solve_exact(
                 x_prev=sol.x,
                 pool_at_parent=pool_at_entry,
                 parent_fixes=n_fix,
-                parent_rows=lp.n_rows,
+                parent_rows=len(sol.basis),
             )
             stack.append(lo_child)
             stack.append(hi_child)
@@ -709,10 +700,9 @@ def solve_exact(
                     pooled_gsec.add((g.S, g.anchor))
                     row = gsec_row(g, root)
                     cut_rows.append(row)
-                    lp_new = lp.with_row(*row)
-                    sol = resolve_with_added_row(lp, sol, *row, options=options)
-                    lp = lp_new
-                    stats["lp_solves"] += 1
+                    # sol's live core holds this node's cuts; lp stays the
+                    # node LP they grow from
+                    sol = counted(resolve_with_added_row(lp, sol, *row, options=options))
                     stats["gsec_cuts"] += 1
                 note("gsec", obj)
                 continue
@@ -726,7 +716,7 @@ def solve_exact(
                 note("branch", obj)
                 break
 
-            decoded, junk = decode_tours(point.x, instance)
+            decoded, _ = decode_tours(point.x, instance)
             if decoded is None:
                 unfixed = next(
                     (
@@ -754,15 +744,10 @@ def solve_exact(
             if point.theta <= q_val + PRUNE_TOL:
                 note("prune", obj)
                 break
-            if junk:
-                row = _optcut_from_point(point.x, q_val, root.U, root)
-            else:
-                row = optimality_cut(decoded, instance, root.U, root)
+            # built from the LP point, so junk edges join the support
+            row = _recourse_cut(point.x, q_val, root.U, root)
             cut_rows.append(row)
-            lp_new = lp.with_row(*row)
-            sol = resolve_with_added_row(lp, sol, *row, options=options)
-            lp = lp_new
-            stats["lp_solves"] += 1
+            sol = counted(resolve_with_added_row(lp, sol, *row, options=options))
             stats["opt_cuts"] += 1
             note("optcut", obj)
 

@@ -12,6 +12,7 @@ solution file formats, and scenario enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -262,6 +263,15 @@ class FractionalPoint:
 def edges(n_nodes: int) -> list[tuple[int, int]]:
     """Lexicographic list of undirected edges (i, j), i < j, over n nodes."""
     return [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
+
+
+@functools.lru_cache(maxsize=8)
+def edge_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j) of `edges(n_nodes)`, cached and read-only."""
+    ends = np.triu_indices(n_nodes, k=1)
+    for a in ends:
+        a.flags.writeable = False
+    return ends
 
 
 def edge_index(n_nodes: int) -> dict[tuple[int, int], int]:

@@ -3,22 +3,30 @@
 Minimizes c.x subject to rows with senses =, <=, >= and variable bounds
 0 <= x <= u (u may be infinite). The solver reports primal values, row
 duals, an unbounded ray when there is one, and the final basis; a basis can
-warm-start a re-solve after appending a cutting plane (dual simplex).
+warm-start a re-solve of a related LP (dual simplex).
 
-Representation is dense throughout; anti-cycling falls back to Bland's rule
-after an objective stall. Phase one minimizes the artificial-variable sum;
-a big-M single phase is available behind an option.
+An optimal solution also carries its live solver state, which the next
+`resolve_with_added_row` takes over: the cutting plane borders the basis
+inverse, [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the new slack's
+coefficient, an O(m^2) update in place of a rebuilt LP and a fresh
+O(m^3) inverse. The inverse is refactorized from scratch once the pivots
+and borders since the last refactorization reach `refactor_every`.
+
+Representation is dense throughout. Phase one minimizes the
+artificial-variable sum. Both the primal and the dual simplex fall back to
+Bland's rule after `stall_limit` pivots that do not improve the objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 LE, GE, EQ = "<=", ">=", "="
 _SENSES = (LE, GE, EQ)
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}  # a row's sense after negating it
 
 
 class SimplexError(RuntimeError):
@@ -33,7 +41,6 @@ class SimplexOptions:
     stall_limit: int = 400
     max_iterations: int = 200_000
     refactor_every: int = 120
-    method: str = "two-phase"  # or "big-m"
 
 
 @dataclass(eq=False)
@@ -95,10 +102,13 @@ class LpSolution:
     ray: np.ndarray | None = None
     basis: tuple[int, ...] | None = None  # column labels, see _Core
     iterations: int = 0
+    fallback: str | None = None  # why a warm start fell back to a cold solve
+    # live solver state of an optimal solve, taken over by one re-solve
+    _core: "_Core | None" = field(default=None, repr=False)
 
 
 class _Core:
-    """Working arrays for one solve.
+    """Working arrays for one solve and the re-solves bordered onto it.
 
     Column labels are stable across re-solves of extended LPs:
     label j < n            -> structural variable j
@@ -112,19 +122,12 @@ class _Core:
         m, n = lp.n_rows, lp.n_vars
         self.m, self.n = m, n
 
-        sign = np.ones(m)
-        A = lp.A.copy()
-        b = lp.b.copy()
-        senses = list(lp.senses)
-        for i in range(m):
-            if b[i] < 0:
-                A[i] *= -1.0
-                b[i] *= -1.0
-                sign[i] = -1.0
-                if senses[i] == LE:
-                    senses[i] = GE
-                elif senses[i] == GE:
-                    senses[i] = LE
+        # rows with a negative right-hand side are negated
+        sign = np.where(lp.b < 0, -1.0, 1.0)
+        A = lp.A * sign[:, None]
+        b = lp.b * sign
+        negated = (lp.b < 0).tolist()
+        senses = [_FLIPPED[s] if neg else s for s, neg in zip(lp.senses, negated)]
         self.row_sign = sign
         self.senses = senses
         self.b = b
@@ -168,6 +171,7 @@ class _Core:
         self.in_basis = np.zeros(self.N, dtype=bool)
         self.in_basis[self.basis] = True
         self.iterations = 0
+        self.since_refactor = 0  # pivots and borders since the last inverse
         self.bland = False
         self._stall = 0
         self._best_obj = np.inf
@@ -179,6 +183,7 @@ class _Core:
     # -- linear algebra helpers ------------------------------------------
 
     def refactor(self):
+        self.since_refactor = 0
         if self.m == 0:
             return
         B = self.Aext[:, self.basis]
@@ -187,6 +192,14 @@ class _Core:
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis during refactorization") from exc
         self.recompute_xB()
+
+    def _basis_changed(self):
+        """Refactorize when due, else only refresh the basic values."""
+        self.since_refactor += 1
+        if self.since_refactor >= self.opt.refactor_every:
+            self.refactor()
+        else:
+            self.recompute_xB()
 
     def recompute_xB(self):
         rhs = self.b.copy()
@@ -305,10 +318,7 @@ class _Core:
         self.in_basis[leave] = False
         self.at_upper[q] = False
         self.at_upper[leave] = bool(hits_upper and np.isfinite(self.ub[leave]))
-        if self.iterations % self.opt.refactor_every == 0:
-            self.refactor()
-        else:
-            self.recompute_xB()
+        self._basis_changed()
         return True
 
     # -- dual simplex (for warm restarts after adding rows) ---------------
@@ -318,12 +328,15 @@ class _Core:
 
         Returns 'optimal' or 'infeasible'. Reduced costs are updated
         incrementally along the pivot row and refreshed on refactorization.
+        After `stall_limit` pivots that do not raise the dual objective
+        (the cost of the current basic solution), the leaving row is the
+        infeasible one with the smallest basic label (Bland's rule).
         """
         tol = self.opt.tol_feas
         if self.m == 0:
             return "optimal"
         rc = self.reduced_costs(cost)
-        fresh_at = self.iterations
+        best_obj, stall = -np.inf, 0
         while True:
             if self.iterations > self.opt.max_iterations:
                 raise SimplexError("iteration limit exceeded (dual)")
@@ -331,9 +344,15 @@ class _Core:
             below = -self.xB
             above = self.xB - ubB
             worst = np.maximum(below, above)
-            r = int(np.argmax(worst))
-            if worst[r] <= tol:
-                return "optimal"
+            if self.bland:
+                rows = np.where(worst > tol)[0]
+                if rows.size == 0:
+                    return "optimal"
+                r = int(rows[np.argmin(self.labels[self.basis[rows]])])
+            else:
+                r = int(np.argmax(worst))
+                if worst[r] <= tol:
+                    return "optimal"
             too_low = below[r] >= above[r]
             row = self.Binv[r] @ self.Aext
             sign = -1.0 if too_low else 1.0
@@ -349,12 +368,15 @@ class _Core:
             ties = cand[ratios <= best + 1e-12]
             q = int(ties[np.argmin(self.labels[ties])])
             self._dual_pivot(r, q, too_low)
-            if self.iterations - fresh_at >= self.opt.refactor_every:
+            if self.since_refactor == 0:
                 rc = self.reduced_costs(cost)
-                fresh_at = self.iterations
             else:
                 rc = rc - (rc[q] / row[q]) * row
                 rc[self.basis] = 0.0
+            obj = float(cost @ self.solution_values())
+            stall = 0 if obj > best_obj + 1e-12 * (1.0 + abs(obj)) else stall + 1
+            best_obj = max(best_obj, obj)
+            self.bland |= stall > self.opt.stall_limit
 
     def _dual_pivot(self, r: int, q: int, too_low: bool):
         aq = self.Binv @ self.Aext[:, q]
@@ -372,10 +394,57 @@ class _Core:
         self.at_upper[q] = False
         self.at_upper[leave] = bool(not too_low and np.isfinite(self.ub[leave]))
         self.iterations += 1
-        if self.iterations % self.opt.refactor_every == 0:
-            self.refactor()
-        else:
-            self.recompute_xB()
+        self._basis_changed()
+
+    # -- re-solves -----------------------------------------------------------
+
+    def add_row(self, a: Sequence[float], sense: str, rhs: float):
+        """Border the basis with an inequality row; its slack enters basic.
+
+        The row is sign-normalised as in __init__. Its slack takes label
+        n + m, so artificial labels shift up by one, and its column goes
+        last. With s the slack's coefficient, the new basis [[B, 0],
+        [a_B, s]] has the inverse [[B^-1, 0], [-a_B B^-1 / s, 1/s]].
+        """
+        sign = -1.0 if rhs < 0 else 1.0
+        a, rhs = np.asarray(a, dtype=float) * sign, rhs * sign
+        sense = sense if sign > 0 else _FLIPPED[sense]
+        m, n, N = self.m, self.n, self.N
+        s = 1.0 if sense == LE else -1.0
+        self.Aext = np.pad(self.Aext, ((0, 1), (0, 1)))
+        self.Aext[m, :n] = a
+        self.Aext[m, N] = s
+        Binv = np.pad(self.Binv, ((0, 1), (0, 1)))
+        Binv[m, :m] = -(self.Aext[m, self.basis] @ self.Binv) / s
+        Binv[m, m] = 1.0 / s
+        self.Binv = Binv
+        self.labels = np.append(np.where(self.labels >= n + m, self.labels + 1, self.labels), n + m)
+        self.ub = np.append(self.ub, np.inf)
+        self.at_upper = np.append(self.at_upper, False)
+        self.in_basis = np.append(self.in_basis, True)
+        self.basis = np.append(self.basis, N)
+        self.slack_col[m] = N
+        self.row_sign = np.append(self.row_sign, sign)
+        self.senses.append(sense)
+        self.b = np.append(self.b, rhs)
+        self.m, self.N = m + 1, N + 1
+        # the state above is complete before a refactorization can raise
+        self._basis_changed()
+
+    def reoptimize(self) -> LpSolution:
+        """Dual simplex back to primal feasibility, then a primal pass."""
+        self.iterations, self.bland = 0, False
+        cost = self.phase2_cost()
+        if self.dual(cost) == "infeasible":
+            return self.result("infeasible")
+        return self.result(self.primal(cost))
+
+    def linear_program(self) -> LinearProgram:
+        """The LP this core solves now, rows in their original signs."""
+        sign = self.row_sign
+        senses = [s if g > 0 else _FLIPPED[s] for s, g in zip(self.senses, sign)]
+        A = self.Aext[:, : self.n] * sign[:, None]
+        return LinearProgram(self.lp.c, A, senses, self.b * sign, self.lp.upper)
 
     # -- result assembly ---------------------------------------------------
 
@@ -415,11 +484,12 @@ class _Core:
             objective=float(self.lp.c @ x),
             basis=tuple(int(self.labels[k]) for k in self.basis),
             iterations=self.iterations,
+            _core=self,
         )
 
 
 def solve(lp: LinearProgram, options: SimplexOptions | None = None) -> LpSolution:
-    """Two-phase (or big-M) simplex solve of a bounded-variable LP.
+    """Two-phase simplex solve of a bounded-variable LP.
 
     A numerically degraded run (singular refactorization, vanishing
     pivots) is retried once on a conservative path: Bland's rule from the
@@ -437,23 +507,6 @@ def solve(lp: LinearProgram, options: SimplexOptions | None = None) -> LpSolutio
 
 def _solve_once(lp: LinearProgram, opt: SimplexOptions) -> LpSolution:
     core = _Core(lp, opt)
-
-    if opt.method == "big-m":
-        cost = core.phase2_cost()
-        scale = 1.0 + float(np.abs(lp.c).max(initial=0.0))
-        big = 1e7 * scale
-        for col in core.art_col.values():
-            cost[col] = big
-        status = core.primal(cost)
-        if status == "optimal":
-            arts = np.array(sorted(core.art_col.values()), dtype=int)
-            if arts.size and core.solution_values()[arts].sum() > opt.tol_feas * (
-                1.0 + float(np.abs(core.b).sum())
-            ):
-                return core.result("infeasible")
-            core.freeze_artificials()
-        return core.result(status)
-
     if core.art_col:
         cost1 = np.zeros(core.N)
         for col in core.art_col.values():
@@ -468,6 +521,12 @@ def _solve_once(lp: LinearProgram, opt: SimplexOptions) -> LpSolution:
         core.bland = False
     status = core.primal(core.phase2_cost())
     return core.result(status)
+
+
+def _cold_fallback(lp: LinearProgram, opt: SimplexOptions, reason: str) -> LpSolution:
+    sol = solve(lp, opt)
+    sol.fallback = reason
+    return sol
 
 
 def warm_solve(
@@ -485,47 +544,38 @@ def warm_solve(
     basis. Bound tightenings and added cut rows both leave the basis dual
     feasible, so the dual simplex repairs primal feasibility, then a
     primal pass confirms optimality. Falls back to a cold solve whenever
-    the basis cannot be applied.
+    the basis cannot be applied, and says why in `LpSolution.fallback`.
     """
     opt = options or SimplexOptions()
     if len(basis_labels) + len(new_rows) != lp.n_rows:
-        return solve(lp, opt)
+        return _cold_fallback(lp, opt, "basis size does not match the LP")
     core = _Core(lp, opt)
     core.freeze_artificials()  # warm starts never touch artificial columns
-    label_to_col = {int(l): k for k, l in enumerate(core.labels)}
-    basis_cols = []
-    for lbl in basis_labels:
-        col = label_to_col.get(int(lbl))
-        if col is None:
-            return solve(lp, opt)
-        basis_cols.append(col)
-    for i in new_rows:
-        slack = core.slack_col.get(int(i))
-        if slack is None:
-            return solve(lp, opt)  # a new equality row cannot warm-start
-        basis_cols.append(slack)
-    core.basis = np.array(basis_cols, dtype=int)
+    col_of = np.full(lp.n_vars + 2 * lp.n_rows, -1)
+    col_of[core.labels] = np.arange(core.N)
+    labels = np.asarray(basis_labels, dtype=int)
+    if labels.size and (labels.min() < 0 or labels.max() >= col_of.size):
+        return _cold_fallback(lp, opt, "basis label outside the LP")
+    # a new equality row has no slack to complete the basis
+    slacks = np.array([core.slack_col.get(int(i), -1) for i in new_rows], dtype=int)
+    basis = np.concatenate([col_of[labels], slacks])
+    if np.any(basis < 0):
+        return _cold_fallback(lp, opt, "basis column missing from the LP")
+    core.basis = basis
     core.in_basis[:] = False
-    core.in_basis[core.basis] = True
+    core.in_basis[basis] = True
     core.at_upper[:] = False
     if x_prev is not None:
-        for j in range(min(len(x_prev), lp.n_vars)):
-            if not core.in_basis[j] and np.isfinite(core.ub[j]) and core.ub[j] > 0:
-                if x_prev[j] >= core.ub[j] - 1e-9:
-                    core.at_upper[j] = True
+        k = min(len(x_prev), lp.n_vars)
+        ub = core.ub[:k]
+        core.at_upper[:k] = (
+            ~core.in_basis[:k] & np.isfinite(ub) & (ub > 0) & (x_prev[:k] >= ub - 1e-9)
+        )
     try:
         core.refactor()
-    except SimplexError:
-        return solve(lp, opt)
-    cost = core.phase2_cost()
-    try:
-        status = core.dual(cost)
-        if status == "infeasible":
-            return core.result("infeasible")
-        status = core.primal(cost)
-    except SimplexError:
-        return solve(lp, opt)
-    return core.result(status)
+        return core.reoptimize()
+    except SimplexError as exc:
+        return _cold_fallback(lp, opt, str(exc))
 
 
 def resolve_with_added_row(
@@ -540,11 +590,22 @@ def resolve_with_added_row(
 
     The previous optimal basis stays dual feasible after the row is added
     (the new row's slack completes it), so the dual simplex repairs primal
-    feasibility in a few pivots. Falls back to a cold solve when the basis
-    cannot be reused (equality row, or artificials still basic).
+    feasibility in a few pivots. An optimal solution hands its live core,
+    which holds every row added since it was built, to one re-solve; `lp`
+    may then be the LP `solution` solves or any LP the core grew from.
+    Otherwise the basis is mapped onto a rebuilt extended LP. An equality
+    row, a non-optimal solution or a numerical failure of the live core
+    takes a cold solve of the extended LP.
     """
-    extended = lp.with_row(a, sense, rhs)
     opt = options or SimplexOptions()
+    core, solution._core = solution._core, None
+    if core is not None and sense != EQ and core.n == lp.n_vars and lp.n_rows <= core.m:
+        try:
+            core.add_row(a, sense, rhs)
+            return core.reoptimize()
+        except SimplexError as exc:
+            return _cold_fallback(core.linear_program(), opt, str(exc))
+    extended = lp.with_row(a, sense, rhs)
     if solution.status != "optimal" or solution.basis is None or sense == EQ:
         return solve(extended, opt)
     # artificial labels refer to rows of the same index; they stay valid

@@ -20,7 +20,8 @@ from pgvrp.oracle import (
     best_apriori_bruteforce,
     enumerate_apriori_solutions,
 )
-from pgvrp.simplex import solve
+from pgvrp import simplex
+from pgvrp.simplex import SimplexError, solve
 
 from conftest import explicit_instance, random_euclid_instance, triangle_345
 
@@ -211,3 +212,43 @@ def test_exact_refuses_nonmetric():
 
     with pytest.raises(ValidationError, match="triangle"):
         solve_exact(inst)
+
+
+def test_forced_warm_start_failure_is_counted(rng, monkeypatch):
+    inst = random_euclid_instance(rng, 7, 3, 1)
+    clean = solve_exact(inst)
+    assert clean.stats["warm_fallbacks"] == 0
+    real = simplex._Core.dual
+    calls = [0]
+
+    def fails_once(core, cost):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise SimplexError("forced dual failure")
+        return real(core, cost)
+
+    monkeypatch.setattr(simplex._Core, "dual", fails_once)
+    res = solve_exact(inst)
+    assert res.stats["warm_fallbacks"] == 1
+    assert len(res.stats["warm_fallback_reasons"]) == 1
+    assert "forced dual failure" in res.stats["warm_fallback_reasons"][0]
+    assert res.objective == pytest.approx(clean.objective, abs=1e-9)
+
+
+def test_dual_resolves_stay_short(monkeypatch):
+    # a dual simplex without anti-cycling once ran 200,001 pivots in one
+    # re-solve of this search (two BLAS threads) and fell back silently
+    longest = [0]
+    real = simplex._Core.dual
+
+    def measured(core, cost):
+        start = core.iterations
+        try:
+            return real(core, cost)
+        finally:
+            longest[0] = max(longest[0], core.iterations - start)
+
+    monkeypatch.setattr(simplex._Core, "dual", measured)
+    res = solve_exact(generate(SuiteSpec(seed=20260810))[2], node_limit=60)
+    assert 0 < longest[0] <= 1000
+    assert res.stats["warm_fallbacks"] == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pgvrp import simplex
 from pgvrp.simplex import (
     EQ,
     GE,
@@ -124,16 +125,6 @@ def test_determinism(rng):
     assert np.array_equal(a.x, b.x)
 
 
-def test_big_m_agrees(rng):
-    for _ in range(50):
-        lp = random_bounded_lp(rng, max_vars=4, max_rows=4)
-        two = solve(lp)
-        bigm = solve(lp, SimplexOptions(method="big-m"))
-        assert bigm.status == two.status
-        if two.status == "optimal":
-            assert bigm.objective == pytest.approx(two.objective, abs=1e-6)
-
-
 def test_dimension_mismatch_raises():
     with pytest.raises(SimplexError, match="dimension"):
         LinearProgram(c=[1.0, 2.0], A=[[1.0]], senses=[LE], b=[1.0])
@@ -167,6 +158,154 @@ def test_resolve_cutting_row_matches_cold(rng):
             # a cut can only worsen a minimum
             assert warm.objective >= base.objective - 1e-9
         checked += 1
+
+
+def _check_against_cold(lp, sol, options):
+    """Same status and objective as a cold solve, primal feasible, duals
+    signed for a minimum (<= rows non-positive, >= rows non-negative)."""
+    cold = solve(lp, options)
+    assert sol.status == cold.status
+    if cold.status != "optimal":
+        return
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-6)
+    assert feasible(lp, sol.x, tol=1e-7 * (1 + np.abs(lp.b).max()))
+    senses = np.array(lp.senses)
+    assert np.all(sol.duals[senses == LE] <= 1e-7)
+    assert np.all(sol.duals[senses == GE] >= -1e-7)
+
+
+def _cut_chain(rng, options, refactors):
+    """Chain 150-300 random cuts through the live core of one LP.
+
+    Every cut is valid for a fixed point x0 (so the LP stays feasible)
+    and, where it can, cuts off the current optimum; LE and GE rows with
+    right-hand sides of both signs exercise the row sign flip.
+    """
+    n, m = int(rng.integers(4, 9)), int(rng.integers(2, 6))
+    x0 = rng.uniform(0.0, 10.0, size=n)
+    A = rng.integers(-9, 10, size=(m, n)).astype(float)
+    senses = [(LE, GE, EQ)[int(k)] for k in rng.integers(0, 3, size=m)]
+    slack = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
+    lp = LinearProgram(
+        c=rng.integers(-9, 10, size=n).astype(float),
+        A=A,
+        senses=senses,
+        b=A @ x0 + slack * rng.uniform(0.0, 3.0, size=m),
+        upper=np.full(n, 10.0),
+    )
+    sol = solve(lp, options)
+    flips = 0
+    for _ in range(int(rng.integers(150, 301))):
+        # a cut along the cost vector makes a face optimal, and the
+        # dual pivots after it degenerate
+        a = lp.c if rng.random() < 0.2 else rng.integers(-5, 6, size=n).astype(float)
+        at_x0, at_opt = float(a @ x0), float(a @ sol.x)
+        rhs = at_x0 + rng.uniform(0.0, 1.0) * (at_opt - at_x0)
+        sense = LE if at_opt >= at_x0 else GE
+        flips += rhs < 0
+        n_ref = refactors[0]
+        sol = resolve_with_added_row(lp, sol, a, sense, rhs, options)
+        lp = lp.with_row(a, sense, rhs)
+        refactors[1] += refactors[0] - n_ref
+        _check_against_cold(lp, sol, options)
+    assert flips > 0
+
+
+@pytest.mark.parametrize("stall_limit", [400, 0])
+def test_live_core_cut_chain_matches_cold(rng, monkeypatch, stall_limit):
+    # stall_limit=0 puts the dual on Bland's rule after its first stall
+    refactors = [0, 0]  # all refactorizations, those inside re-solves
+    real = simplex._Core.refactor
+
+    def counting(core):
+        refactors[0] += 1
+        real(core)
+
+    monkeypatch.setattr(simplex._Core, "refactor", counting)
+    options = SimplexOptions(stall_limit=stall_limit)
+    for _ in range(2):
+        _cut_chain(rng, options, refactors)
+    # the refactor cadence came due inside re-solves at least twice
+    assert refactors[1] >= 2
+
+
+def _cut_off(rng, lp, sol):
+    a = rng.integers(-5, 6, size=lp.n_vars).astype(float)
+    at = float(a @ sol.x)
+    return (a, LE, at - 1.0) if rng.random() < 0.5 else (a, GE, at + 1.0)
+
+
+def test_resolve_twice_from_one_solution(rng):
+    # the second re-solve from `first` finds its core handed over and maps
+    # its basis labels, those of a bordered core, onto a rebuilt LP
+    checked = 0
+    while checked < 40:
+        lp = random_bounded_lp(rng, max_vars=5, max_rows=4)
+        if lp.senses[0] == EQ:
+            # a repeated equality row keeps an artificial basic, whose
+            # label the border must shift
+            lp = lp.with_row(lp.A[0], EQ, lp.b[0])
+        base = solve(lp)
+        if base.status != "optimal":
+            continue
+        row = _cut_off(rng, lp, base)
+        first = resolve_with_added_row(lp, base, *row)
+        if first.status != "optimal":
+            continue
+        lp = lp.with_row(*row)
+        for _ in range(2):
+            row = _cut_off(rng, lp, first)
+            warm = resolve_with_added_row(lp, first, *row)
+            assert warm.fallback is None
+            _check_against_cold(lp.with_row(*row), warm, None)
+        checked += 1
+
+
+def test_exact_node_lps_match_highs(monkeypatch):
+    # every 40th LP that solve_exact solves on row 5 of suite seed 0,
+    # node warm starts and cut re-solves alike, against HiGHS
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from pgvrp import exact
+    from pgvrp.bench import SuiteSpec, generate
+
+    kept, count, grown = [], [0], [None, None]  # grown: node LP, with its cuts
+
+    def keep(lp, sol):
+        count[0] += 1
+        if count[0] % 40 == 1:
+            kept.append((lp, sol.status, sol.objective))
+        return sol
+
+    real_warm, real_resolve = exact.warm_solve, exact.resolve_with_added_row
+
+    def warm(lp, *args, **kwargs):
+        return keep(lp, real_warm(lp, *args, **kwargs))
+
+    def resolve(lp, sol, a, sense, rhs, options=None):
+        if grown[0] is not lp:
+            grown[:] = [lp, lp]
+        grown[1] = grown[1].with_row(a, sense, rhs)
+        return keep(grown[1], real_resolve(lp, sol, a, sense, rhs, options))
+
+    monkeypatch.setattr(exact, "warm_solve", warm)
+    monkeypatch.setattr(exact, "resolve_with_added_row", resolve)
+    exact.solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=10)
+    assert len(kept) >= 5
+    for lp, status, objective in kept:
+        senses = np.array(lp.senses)
+        le, ge, eq = senses == LE, senses == GE, senses == EQ
+        ref = linprog(
+            lp.c,
+            A_ub=np.vstack([lp.A[le], -lp.A[ge]]),
+            b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+            A_eq=lp.A[eq],
+            b_eq=lp.b[eq],
+            bounds=[(0.0, u) for u in lp.upper],
+            method="highs",
+        )
+        assert status == {0: "optimal", 2: "infeasible"}[ref.status]
+        if status == "optimal":
+            assert objective == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
 
 
 def test_degenerate_cycling_guard():
