@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .evaluation import expected_length, expected_recourse
+from .evaluation import deterministic_length, expected_length, expected_recourse
 from .heuristics import solve_MmI
 from .model import (
     AprioriSolution,
@@ -84,12 +84,10 @@ class BranchNode:
     bound: float
     excluded: frozenset[int]  # y-variables fixed to zero
     u_local: float
-    # warm-start state inherited from the parent's final LP
+    # the parent's id and final basis, from which this node's LP re-solves
+    parent: int | None = None
     basis: tuple[int, ...] | None = None
     x_prev: np.ndarray | None = None
-    pool_at_parent: int = 0
-    parent_fixes: int = 0
-    parent_rows: int = 0
 
 
 @dataclass(eq=False)
@@ -451,33 +449,16 @@ def decode_tours(
 # ---------------------------------------------------------------------------
 
 
-def _node_lp(root: RootRelaxation, cut_rows, node: BranchNode) -> LinearProgram:
-    base = root.lp
-    rows = [base.A]
-    senses = list(base.senses)
-    rhs = list(base.b)
-    upper = base.upper.copy()
-    for row, s, r in cut_rows:
-        rows.append(row.reshape(1, -1))
-        senses.append(s)
-        rhs.append(r)
+def _node_bounds(root: RootRelaxation, node: BranchNode) -> tuple[np.ndarray, np.ndarray]:
+    """The root's variable bounds tightened by the node's fixings and cap."""
+    lower, upper = root.lp.lower.copy(), root.lp.upper.copy()
     for kind, col, value in node.fixings:
         if kind == "ub":
             upper[col] = min(upper[col], value)
         else:
-            row = np.zeros(base.n_vars)
-            row[col] = 1.0
-            rows.append(row.reshape(1, -1))
-            senses.append(GE)
-            rhs.append(value)
+            lower[col] = max(lower[col], value)
     upper[root.col_theta] = min(upper[root.col_theta], max(node.u_local, 0.0))
-    return LinearProgram(
-        c=base.c.copy(),
-        A=np.vstack(rows),
-        senses=senses,
-        b=np.array(rhs),
-        upper=upper,
-    )
+    return lower, upper
 
 
 def _u_for_exclusions(root: RootRelaxation, excluded: frozenset[int]) -> float:
@@ -488,22 +469,17 @@ def _u_for_exclusions(root: RootRelaxation, excluded: frozenset[int]) -> float:
 
 
 def _branch_variable(point: FractionalPoint, root: RootRelaxation) -> tuple[int, float] | None:
-    """Most fractional y first, then x; ties to the smallest index."""
-    best = None
-    n = root.instance.n_nodes
-    for t in range(1, n):
-        v = float(point.y[t])
-        frac = min(v - math.floor(v), math.ceil(v) - v)
-        if frac > INT_TOL and (best is None or frac > best[2] + 1e-12):
-            best = (root.col_y(t), v, frac)
-    if best is not None:
-        return best[0], best[1]
-    for idx in range(root.n_edges):
-        v = float(point.x[idx])
-        frac = min(v - math.floor(v), math.ceil(v) - v)
-        if frac > INT_TOL and (best is None or frac > best[2] + 1e-12):
-            best = (idx, v, frac)
-    return None if best is None else (best[0], best[1])
+    """Most fractional y first, then x; within 1e-12, the smallest index."""
+    for first_col, values in ((root.col_y(1), point.y[1:]), (0, point.x)):
+        frac = np.minimum(values - np.floor(values), np.ceil(values) - values)
+        cand = np.flatnonzero(frac > INT_TOL)
+        best = None
+        for k, f in zip(cand.tolist(), frac[cand].tolist()):
+            if best is None or f > best[1] + 1e-12:
+                best = (k, f)
+        if best is not None:
+            return first_col + best[0], float(values[best[0]])
+    return None
 
 
 def solve_exact(
@@ -515,8 +491,11 @@ def solve_exact(
     """Depth-first branch-and-cut to a certified optimum.
 
     Returns the incumbent and the best open bound when the time limit (or
-    node limit) halts the search early. Node LPs warm-start from the
-    parent's final basis; cuts are globally valid and pooled.
+    node limit) halts the search early. Cuts are globally valid and
+    pooled. Every node re-solves the root LP plus the pool under its own
+    bounds on one simplex core: a child popped while the core still holds
+    its parent's final basis continues on it, any other node installs the
+    parent's basis and inverts it once.
     """
     t0 = time.perf_counter()
     worst = triangle_check(instance)
@@ -530,17 +509,18 @@ def solve_exact(
     root = build_root(instance)
     incumbent = solve_MmI(instance)
     z_best = expected_length(incumbent, instance)
-    cut_rows: list[tuple[np.ndarray, str, float]] = []
     pooled_gsec: set[tuple[frozenset[int], int]] = set()
     log: list[str] = []
     stats = {"nodes": 0, "lp_solves": 0, "gsec_cuts": 0, "opt_cuts": 0}
     # warm starts that fell back to a cold solve, each with its reason
     stats["warm_fallbacks"], stats["warm_fallback_reasons"] = 0, []
-    root_m = root.lp.n_rows
-    nv = root.lp.n_vars
 
-    # the incumbent's recourse cut is valid everywhere and tightens theta
-    cut_rows.append(optimality_cut(incumbent, instance, root.U, root))
+    # the incumbent's recourse cut is valid everywhere and tightens theta.
+    # One simplex core serves the whole search: its rows are this LP's
+    # plus the cut pool, and each node solves it under its own bounds
+    root_lp = root.lp.with_row(*optimality_cut(incumbent, instance, root.U, root))
+    core = None
+    live = None  # id of the node whose final basis the core holds
 
     stack = [
         BranchNode(
@@ -561,46 +541,6 @@ def solve_exact(
             return True
         return False
 
-    def warm_start_plan(
-        node: BranchNode, pool_now: int, child_rows: int
-    ) -> tuple[tuple[int, ...], list[int]] | None:
-        """Parent basis labels mapped onto this node's rows, plus the rows
-        the parent never saw (pool growth and a possible new bound row).
-
-        Parent rows were [root][pool:p][lb-rows:f][in-node cuts]; the child
-        sees [root][pool:now][lb-rows], with the parent's in-node cuts
-        occupying pool positions p..p+T. Artificial labels (parents keep
-        some basic at zero on equality rows) move with their row.
-        """
-        if node.basis is None:
-            return None
-        p, f = node.pool_at_parent, node.parent_fixes
-        t_cuts = node.parent_rows - root_m - p - f
-        if t_cuts < 0:
-            return None
-
-        def move_row(r: int) -> int:
-            if r < root_m + p:
-                return r
-            if r < root_m + p + f:
-                return root_m + pool_now + (r - root_m - p)
-            return root_m + p + (r - root_m - p - f)
-
-        labels = []
-        for lbl in node.basis:
-            if lbl < nv:
-                labels.append(lbl)
-            elif lbl < nv + node.parent_rows:
-                labels.append(nv + move_row(lbl - nv))
-            else:
-                labels.append(nv + child_rows + move_row(lbl - nv - node.parent_rows))
-        new_rows = [root_m + j for j in range(p + t_cuts, pool_now)]
-        child_lbs = sum(1 for k, _, _ in node.fixings if k == "lb")
-        new_rows += [
-            root_m + pool_now + j for j in range(f, child_lbs)
-        ]
-        return tuple(labels), new_rows
-
     while stack:
         if out_of_budget():
             break
@@ -618,23 +558,25 @@ def solve_exact(
             continue
 
         def counted(sol):
+            nonlocal core
             stats["lp_solves"] += 1
             if sol.fallback is not None:
                 stats["warm_fallbacks"] += 1
                 stats["warm_fallback_reasons"].append(f"node {node_id}: {sol.fallback}")
+            core = sol.core  # a cold fallback brings a new core
             return sol
 
-        pool_at_entry = len(cut_rows)
-        n_fix = sum(1 for k, _, _ in node.fixings if k == "lb")
-        # drop the previous node's LP, and the live core its last solution
-        # carries, before building this one: memory holds one node's LP
-        lp = sol = None
-        lp = _node_lp(root, cut_rows, node)
-        plan = warm_start_plan(node, pool_at_entry, lp.n_rows)
-        if plan is not None:
-            sol = counted(warm_solve(lp, plan[0], node.x_prev, plan[1], options))
+        if core is None:
+            sol = counted(solve(root_lp, options))
         else:
-            sol = counted(solve(lp, options))
+            # the parent's final basis is still live in the core, or the
+            # node installs it and inverts it once
+            lower, upper = _node_bounds(root, node)
+            if node.parent == live:
+                sol = counted(warm_solve(core, lower, upper, options=options))
+            else:
+                sol = counted(warm_solve(core, lower, upper, node.basis, node.x_prev, options))
+        live = node_id
 
         def push_children(col, lo_val, hi_val, obj, sol):
             excl = node.excluded
@@ -648,11 +590,9 @@ def solve_exact(
                 u_local=node.u_local
                 if excl == node.excluded
                 else min(node.u_local, _u_for_exclusions(root, excl)),
+                parent=node_id,
                 basis=sol.basis,
                 x_prev=sol.x,
-                pool_at_parent=pool_at_entry,
-                parent_fixes=n_fix,
-                parent_rows=len(sol.basis),
             )
             hi_child = BranchNode(
                 fixings=node.fixings + (("lb", col, hi_val),),
@@ -660,11 +600,9 @@ def solve_exact(
                 bound=obj,
                 excluded=node.excluded,
                 u_local=node.u_local,
+                parent=node_id,
                 basis=sol.basis,
                 x_prev=sol.x,
-                pool_at_parent=pool_at_entry,
-                parent_fixes=n_fix,
-                parent_rows=len(sol.basis),
             )
             stack.append(lo_child)
             stack.append(hi_child)
@@ -689,25 +627,22 @@ def solve_exact(
                 y=sol.x[root.n_edges : root.n_edges + instance.n_nodes],
                 theta=float(sol.x[root.col_theta]),
             )
-            is_fractional = _branch_variable(point, root) is not None
+            choice = _branch_variable(point, root)
             fresh = [
                 g
-                for g in separate_gsec(point, instance, include_min_cut=is_fractional)
+                for g in separate_gsec(point, instance, include_min_cut=choice is not None)
                 if (g.S, g.anchor) not in pooled_gsec
             ]
             if fresh:
                 for g in fresh:
                     pooled_gsec.add((g.S, g.anchor))
                     row = gsec_row(g, root)
-                    cut_rows.append(row)
-                    # sol's live core holds this node's cuts; lp stays the
-                    # node LP they grow from
-                    sol = counted(resolve_with_added_row(lp, sol, *row, options=options))
+                    # the core holds the pool; root_lp is the LP it grew from
+                    sol = counted(resolve_with_added_row(root_lp, sol, *row, options=options))
                     stats["gsec_cuts"] += 1
                 note("gsec", obj)
                 continue
 
-            choice = _branch_variable(point, root)
             if choice is not None:
                 col, value = choice
                 push_children(
@@ -736,7 +671,7 @@ def solve_exact(
                 break
 
             z_q = expected_length(decoded, instance, check=False)
-            q_val = expected_recourse(decoded, instance, check=False)
+            q_val = deterministic_length(decoded, instance) - z_q
             if z_q < z_best - PRUNE_TOL:
                 z_best = z_q
                 incumbent = decoded
@@ -746,8 +681,7 @@ def solve_exact(
                 break
             # built from the LP point, so junk edges join the support
             row = _recourse_cut(point.x, q_val, root.U, root)
-            cut_rows.append(row)
-            sol = counted(resolve_with_added_row(lp, sol, *row, options=options))
+            sol = counted(resolve_with_added_row(root_lp, sol, *row, options=options))
             stats["opt_cuts"] += 1
             note("optcut", obj)
 

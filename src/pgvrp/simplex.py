@@ -1,16 +1,24 @@
 """Dense LP core: two-phase primal simplex over bounded variables.
 
 Minimizes c.x subject to rows with senses =, <=, >= and variable bounds
-0 <= x <= u (u may be infinite). The solver reports primal values, row
-duals, an unbounded ray when there is one, and the final basis; a basis can
-warm-start a re-solve of a related LP (dual simplex).
+l <= x <= u (l finite, 0 by default; u may be infinite). The core solves
+for the shifted variables x' = x - l with 0 <= x' <= u - l: it works on the
+right-hand side b - A l and adds l back to the values it reports, so the
+pivot loops only ever see zero lower bounds. The solver reports primal
+values, row duals, an unbounded ray when there is one, and the final basis.
 
-An optimal solution also carries its live solver state, which the next
-`resolve_with_added_row` takes over: the cutting plane borders the basis
-inverse, [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the new slack's
-coefficient, an O(m^2) update in place of a rebuilt LP and a fresh
-O(m^3) inverse. The inverse is refactorized from scratch once the pivots
-and borders since the last refactorization reach `refactor_every`.
+A solution also carries its live solver state, which later re-solves of
+the same LP continue from:
+- `resolve_with_added_row` borders a cutting plane onto it: the basis
+  inverse becomes [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the new
+  slack's coefficient, an O(m^2) update in place of a rebuilt LP and a
+  fresh O(m^3) inverse.
+- `warm_solve` moves the variable bounds, which shifts the right-hand side
+  by A (l_new - l_old) and keeps the basis dual feasible. It continues on
+  the live basis inverse, or installs a stored basis of the same LP taken
+  when it had fewer rows and inverts it once.
+The inverse is refactorized from scratch once the pivots and borders since
+the last refactorization reach `refactor_every`.
 
 Representation is dense throughout. Phase one minimizes the
 artificial-variable sum. Both the primal and the dual simplex fall back to
@@ -45,13 +53,14 @@ class SimplexOptions:
 
 @dataclass(eq=False)
 class LinearProgram:
-    """min c.x  s.t.  A x (senses) b,  0 <= x <= upper."""
+    """min c.x  s.t.  A x (senses) b,  lower <= x <= upper."""
 
     c: np.ndarray
     A: np.ndarray
     senses: list[str]
     b: np.ndarray
     upper: np.ndarray | None = None
+    lower: np.ndarray | None = None  # finite; zeros when None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -59,20 +68,19 @@ class LinearProgram:
         self.b = np.asarray(self.b, dtype=float)
         if self.A.size == 0:
             self.A = self.A.reshape((len(self.b), len(self.c)))
-        if self.upper is None:
-            self.upper = np.full(len(self.c), np.inf)
-        else:
-            self.upper = np.asarray(self.upper, dtype=float)
         m, n = self.A.shape
-        if len(self.c) != n or len(self.b) != m or len(self.senses) != m:
+        self.upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
+        self.lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
+        sizes = (len(self.c), len(self.b), len(self.senses), len(self.lower), len(self.upper))
+        if sizes != (n, m, m, n, n):
             raise SimplexError(
-                f"dimension mismatch: A is {m}x{n}, c has {len(self.c)}, "
-                f"b has {len(self.b)}, senses has {len(self.senses)}"
+                f"dimension mismatch: A is {m}x{n}; c, b, senses, lower and upper "
+                f"have {', '.join(map(str, sizes))}"
             )
         bad = [s for s in self.senses if s not in _SENSES]
         if bad:
             raise SimplexError(f"unknown row sense {bad[0]!r}")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b)) and np.all(np.isfinite(self.c))):
+        if not all(np.all(np.isfinite(v)) for v in (self.A, self.b, self.c, self.lower)):
             raise SimplexError("non-finite coefficient")
 
     @property
@@ -90,6 +98,7 @@ class LinearProgram:
             senses=list(self.senses) + [sense],
             b=np.append(self.b, rhs),
             upper=self.upper.copy(),
+            lower=self.lower.copy(),
         )
 
 
@@ -103,30 +112,34 @@ class LpSolution:
     basis: tuple[int, ...] | None = None  # column labels, see _Core
     iterations: int = 0
     fallback: str | None = None  # why a warm start fell back to a cold solve
-    # live solver state of an optimal solve, taken over by one re-solve
-    _core: "_Core | None" = field(default=None, repr=False)
+    # live solver state that re-solves of this LP continue from
+    core: "_Core | None" = field(default=None, repr=False)
 
 
 class _Core:
-    """Working arrays for one solve and the re-solves bordered onto it.
+    """Working arrays for one solve and the re-solves continued on it.
 
     Column labels are stable across re-solves of extended LPs:
     label j < n            -> structural variable j
     n <= label < n + m     -> slack of row (label - n)
     label >= n + m         -> artificial of row (label - n - m)
+
+    Structural column j holds x_j - lo_j, bounded by ub_j = hi_j - lo_j.
     """
 
     def __init__(self, lp: LinearProgram, options: SimplexOptions):
-        self.lp = lp
         self.opt = options
         m, n = lp.n_rows, lp.n_vars
         self.m, self.n = m, n
+        self.c, self.lo, self.hi = lp.c, lp.lower, lp.upper
 
-        # rows with a negative right-hand side are negated
-        sign = np.where(lp.b < 0, -1.0, 1.0)
+        # shift to x - lower; rows whose right-hand side is then negative
+        # are negated
+        b = lp.b - lp.A @ lp.lower
+        sign = np.where(b < 0, -1.0, 1.0)
         A = lp.A * sign[:, None]
-        b = lp.b * sign
-        negated = (lp.b < 0).tolist()
+        b = b * sign
+        negated = (sign < 0).tolist()
         senses = [_FLIPPED[s] if neg else s for s, neg in zip(lp.senses, negated)]
         self.row_sign = sign
         self.senses = senses
@@ -159,7 +172,7 @@ class _Core:
         for k, (i, coef) in enumerate(extra):
             self.Aext[i, n + k] = coef
         self.labels = np.array(labels)
-        self.ub = np.concatenate([lp.upper, np.array(ub_extra)])
+        self.ub = np.concatenate([lp.upper - lp.lower, np.array(ub_extra)])
 
         self.basis = np.array(
             [self.art_col.get(i, self.slack_col.get(i, -1)) for i in range(m)],
@@ -179,6 +192,10 @@ class _Core:
         diag = np.array([self.Aext[i, self.basis[i]] for i in range(m)])
         self.Binv = np.diag(1.0 / diag) if m else np.eye(0)
         self.xB = b / diag if m else b.copy()
+
+    @property
+    def n_rows(self) -> int:
+        return self.m
 
     # -- linear algebra helpers ------------------------------------------
 
@@ -401,13 +418,15 @@ class _Core:
     def add_row(self, a: Sequence[float], sense: str, rhs: float):
         """Border the basis with an inequality row; its slack enters basic.
 
-        The row is sign-normalised as in __init__. Its slack takes label
-        n + m, so artificial labels shift up by one, and its column goes
-        last. With s the slack's coefficient, the new basis [[B, 0],
-        [a_B, s]] has the inverse [[B^-1, 0], [-a_B B^-1 / s, 1/s]].
+        The row is shifted and sign-normalised as in __init__. Its slack
+        takes label n + m, so artificial labels shift up by one, and its
+        column goes last. With s the slack's coefficient, the new basis
+        [[B, 0], [a_B, s]] has the inverse [[B^-1, 0], [-a_B B^-1 / s, 1/s]].
         """
+        a = np.asarray(a, dtype=float)
+        rhs = rhs - float(a @ self.lo)
         sign = -1.0 if rhs < 0 else 1.0
-        a, rhs = np.asarray(a, dtype=float) * sign, rhs * sign
+        a, rhs = a * sign, rhs * sign
         sense = sense if sign > 0 else _FLIPPED[sense]
         m, n, N = self.m, self.n, self.N
         s = 1.0 if sense == LE else -1.0
@@ -431,6 +450,51 @@ class _Core:
         # the state above is complete before a refactorization can raise
         self._basis_changed()
 
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray):
+        """Move the structural bounds to [lower, upper], keeping the basis.
+
+        Reduced costs do not depend on the bounds, so a dual feasible basis
+        stays dual feasible, provided no column nonbasic at its upper
+        bound loses that bound.
+        """
+        moved = np.flatnonzero(lower != self.lo)
+        if moved.size:
+            self.b = self.b - self.Aext[:, moved] @ (lower[moved] - self.lo[moved])
+        self.lo, self.hi = lower, upper
+        self.ub[: self.n] = upper - lower
+        self.recompute_xB()
+
+    def install(self, basis_labels: Sequence[int], x_prev: np.ndarray | None):
+        """Install a basis taken from this core when it had k <= m rows.
+
+        Rows k..m-1 enter with their slacks basic, and artificial labels
+        shift by m - k, as `add_row` shifts them. A nonbasic column starts
+        at its upper bound where x_prev reached it. Inverts the basis.
+        """
+        n, m = self.n, self.m
+        labels = np.asarray(basis_labels, dtype=int)
+        k = labels.size
+        if k > m:
+            raise SimplexError("basis has more rows than the LP")
+        labels = np.where(labels >= n + k, labels + (m - k), labels)
+        col_of = np.full(n + 2 * m, -1)
+        col_of[self.labels] = np.arange(self.N)
+        if k and (labels.min() < 0 or labels.max() >= col_of.size):
+            raise SimplexError("basis label outside the LP")
+        basis = np.concatenate([col_of[labels], col_of[n + np.arange(k, m)]])
+        if np.any(basis < 0):
+            raise SimplexError("basis column missing from the LP")
+        self.basis = basis
+        self.in_basis[:] = False
+        self.in_basis[basis] = True
+        self.at_upper[:] = False
+        if x_prev is not None:
+            ub = self.ub[:n]
+            self.at_upper[:n] = (
+                ~self.in_basis[:n] & np.isfinite(ub) & (ub > 0) & (x_prev >= self.hi - 1e-9)
+            )
+        self.refactor()
+
     def reoptimize(self) -> LpSolution:
         """Dual simplex back to primal feasibility, then a primal pass."""
         self.iterations, self.bland = 0, False
@@ -440,17 +504,17 @@ class _Core:
         return self.result(self.primal(cost))
 
     def linear_program(self) -> LinearProgram:
-        """The LP this core solves now, rows in their original signs."""
+        """The LP this core solves now, rows and variables unshifted."""
         sign = self.row_sign
         senses = [s if g > 0 else _FLIPPED[s] for s, g in zip(self.senses, sign)]
         A = self.Aext[:, : self.n] * sign[:, None]
-        return LinearProgram(self.lp.c, A, senses, self.b * sign, self.lp.upper)
+        return LinearProgram(self.c, A, senses, self.b * sign + A @ self.lo, self.hi, self.lo)
 
     # -- result assembly ---------------------------------------------------
 
     def phase2_cost(self) -> np.ndarray:
         cost = np.zeros(self.N)
-        cost[: self.n] = self.lp.c
+        cost[: self.n] = self.c
         return cost
 
     def freeze_artificials(self):
@@ -460,9 +524,9 @@ class _Core:
 
     def result(self, status: str) -> LpSolution:
         if status == "infeasible":
-            return LpSolution(status="infeasible", iterations=self.iterations)
-        x = self.solution_values()[: self.n]
-        cost = self.phase2_cost()
+            return LpSolution(status="infeasible", iterations=self.iterations, core=self)
+        x = self.solution_values()[: self.n] + self.lo
+        basis = tuple(self.labels[self.basis].tolist())
         if status == "unbounded":
             ray = np.zeros(self.N)
             q = self._ray_col
@@ -473,18 +537,18 @@ class _Core:
                 status="unbounded",
                 x=x,
                 ray=ray[: self.n],
-                basis=tuple(int(self.labels[k]) for k in self.basis),
+                basis=basis,
                 iterations=self.iterations,
+                core=self,
             )
-        y = self.duals(cost) * self.row_sign
         return LpSolution(
             status="optimal",
             x=x,
-            duals=y,
-            objective=float(self.lp.c @ x),
-            basis=tuple(int(self.labels[k]) for k in self.basis),
+            duals=self.duals(self.phase2_cost()) * self.row_sign,
+            objective=float(self.c @ x),
+            basis=basis,
             iterations=self.iterations,
-            _core=self,
+            core=self,
         )
 
 
@@ -496,6 +560,8 @@ def solve(lp: LinearProgram, options: SimplexOptions | None = None) -> LpSolutio
     start, frequent refactorization, stricter pivot threshold.
     """
     opt = options or SimplexOptions()
+    if np.any(lp.lower > lp.upper):
+        return LpSolution(status="infeasible")
     try:
         return _solve_once(lp, opt)
     except SimplexError:
@@ -526,56 +592,46 @@ def _solve_once(lp: LinearProgram, opt: SimplexOptions) -> LpSolution:
 def _cold_fallback(lp: LinearProgram, opt: SimplexOptions, reason: str) -> LpSolution:
     sol = solve(lp, opt)
     sol.fallback = reason
+    if sol.core is not None:
+        # later re-solves continue on the new core, with the caller's
+        # options and, like every warm start, without artificial columns
+        sol.core.opt = opt
+        sol.core.freeze_artificials()
     return sol
 
 
 def warm_solve(
-    lp: LinearProgram,
-    basis_labels: Sequence[int],
-    x_prev: np.ndarray | None,
-    new_rows: Sequence[int] = (),
+    core: _Core,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    basis_labels: Sequence[int] | None = None,
+    x_prev: np.ndarray | None = None,
     options: SimplexOptions | None = None,
 ) -> LpSolution:
-    """Solve starting from a dual-feasible basis of a related LP.
+    """Re-solve a live core's LP under new variable bounds.
 
-    `basis_labels` is the previous basis expressed in this LP's labels
-    (structural j, slack n+i, artificial n+m+i); `new_rows` lists the rows
-    absent from that LP, each an inequality whose slack completes the
-    basis. Bound tightenings and added cut rows both leave the basis dual
+    Without `basis_labels` the core continues from the basis it holds, on
+    its live inverse. Otherwise it installs that basis, taken from an
+    earlier solution of the same core (labels as in `_Core`, rows added
+    since enter with their slacks basic), starts nonbasic columns at their
+    upper bound where `x_prev` reached it, and inverts the basis once.
+    Bound changes and added rows both leave an optimal basis dual
     feasible, so the dual simplex repairs primal feasibility, then a
-    primal pass confirms optimality. Falls back to a cold solve whenever
-    the basis cannot be applied, and says why in `LpSolution.fallback`.
+    primal pass confirms optimality. A numerical failure falls back to a
+    cold solve of the core's LP, says why in `LpSolution.fallback`, and
+    the solution carries the new core.
     """
     opt = options or SimplexOptions()
-    if len(basis_labels) + len(new_rows) != lp.n_rows:
-        return _cold_fallback(lp, opt, "basis size does not match the LP")
-    core = _Core(lp, opt)
-    core.freeze_artificials()  # warm starts never touch artificial columns
-    col_of = np.full(lp.n_vars + 2 * lp.n_rows, -1)
-    col_of[core.labels] = np.arange(core.N)
-    labels = np.asarray(basis_labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= col_of.size):
-        return _cold_fallback(lp, opt, "basis label outside the LP")
-    # a new equality row has no slack to complete the basis
-    slacks = np.array([core.slack_col.get(int(i), -1) for i in new_rows], dtype=int)
-    basis = np.concatenate([col_of[labels], slacks])
-    if np.any(basis < 0):
-        return _cold_fallback(lp, opt, "basis column missing from the LP")
-    core.basis = basis
-    core.in_basis[:] = False
-    core.in_basis[basis] = True
-    core.at_upper[:] = False
-    if x_prev is not None:
-        k = min(len(x_prev), lp.n_vars)
-        ub = core.ub[:k]
-        core.at_upper[:k] = (
-            ~core.in_basis[:k] & np.isfinite(ub) & (ub > 0) & (x_prev[:k] >= ub - 1e-9)
-        )
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    if np.any(lower > upper):
+        return LpSolution(status="infeasible", core=core)
     try:
-        core.refactor()
+        core.set_bounds(lower, upper)
+        if basis_labels is not None:
+            core.install(basis_labels, x_prev)
         return core.reoptimize()
     except SimplexError as exc:
-        return _cold_fallback(lp, opt, str(exc))
+        return _cold_fallback(core.linear_program(), opt, str(exc))
 
 
 def resolve_with_added_row(
@@ -593,13 +649,14 @@ def resolve_with_added_row(
     feasibility in a few pivots. An optimal solution hands its live core,
     which holds every row added since it was built, to one re-solve; `lp`
     may then be the LP `solution` solves or any LP the core grew from.
-    Otherwise the basis is mapped onto a rebuilt extended LP. An equality
-    row, a non-optimal solution or a numerical failure of the live core
-    takes a cold solve of the extended LP.
+    Otherwise the basis is installed on a core built from the extended LP.
+    An equality row, a non-optimal solution or a numerical failure of the
+    live core takes a cold solve of the extended LP.
     """
     opt = options or SimplexOptions()
-    core, solution._core = solution._core, None
-    if core is not None and sense != EQ and core.n == lp.n_vars and lp.n_rows <= core.m:
+    core, solution.core = solution.core, None
+    live = core is not None and solution.status == "optimal"
+    if live and sense != EQ and core.n == lp.n_vars and lp.n_rows <= core.m:
         try:
             core.add_row(a, sense, rhs)
             return core.reoptimize()
@@ -608,11 +665,9 @@ def resolve_with_added_row(
     extended = lp.with_row(a, sense, rhs)
     if solution.status != "optimal" or solution.basis is None or sense == EQ:
         return solve(extended, opt)
-    # artificial labels refer to rows of the same index; they stay valid
-    labels = tuple(
-        lbl if lbl < lp.n_vars + lp.n_rows else lbl + 1 for lbl in solution.basis
-    )
-    return warm_solve(extended, labels, solution.x, [extended.n_rows - 1], opt)
+    core = _Core(extended, opt)
+    core.freeze_artificials()  # warm starts never touch artificial columns
+    return warm_solve(core, extended.lower, extended.upper, solution.basis, solution.x, opt)
 
 
 def lp_dump(lp: LinearProgram) -> str:
@@ -621,8 +676,11 @@ def lp_dump(lp: LinearProgram) -> str:
     for i in range(lp.n_rows):
         terms = " + ".join(f"{lp.A[i, j]:g}*x{j}" for j in range(lp.n_vars) if lp.A[i, j])
         out.append(f"  {terms or '0'} {lp.senses[i]} {lp.b[i]:g}")
-    bounds = ", ".join(
-        f"x{j}<={u:g}" for j, u in enumerate(lp.upper) if np.isfinite(u)
-    )
-    out.append(f"  0 <= x{'; ' + bounds if bounds else ''}")
+    bounds = []
+    for j in range(lp.n_vars):
+        if lp.lower[j]:
+            bounds.append(f"x{j}>={lp.lower[j]:g}")
+        if np.isfinite(lp.upper[j]):
+            bounds.append(f"x{j}<={lp.upper[j]:g}")
+    out.append(f"  0 <= x{'; ' + ', '.join(bounds) if bounds else ''}")
     return "\n".join(out)

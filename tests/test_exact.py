@@ -7,7 +7,10 @@ import pytest
 
 from pgvrp.bench import SuiteSpec, generate
 from pgvrp.evaluation import expected_length, expected_recourse
+from pgvrp import exact
 from pgvrp.exact import (
+    INT_TOL,
+    _branch_variable,
     build_root,
     decode_tours,
     optimality_cut,
@@ -21,7 +24,7 @@ from pgvrp.oracle import (
     enumerate_apriori_solutions,
 )
 from pgvrp import simplex
-from pgvrp.simplex import SimplexError, solve
+from pgvrp.simplex import SimplexError, SimplexOptions, solve
 
 from conftest import explicit_instance, random_euclid_instance, triangle_345
 
@@ -252,3 +255,67 @@ def test_dual_resolves_stay_short(monkeypatch):
     res = solve_exact(generate(SuiteSpec(seed=20260810))[2], node_limit=60)
     assert 0 < longest[0] <= 1000
     assert res.stats["warm_fallbacks"] == 0
+
+
+def _branch_variable_by_scan(point, root):
+    """The sequential scan _branch_variable must agree with."""
+    best = None
+    for t in range(1, root.instance.n_nodes):
+        v = float(point.y[t])
+        frac = min(v - math.floor(v), math.ceil(v) - v)
+        if frac > INT_TOL and (best is None or frac > best[2] + 1e-12):
+            best = (root.col_y(t), v, frac)
+    if best is not None:
+        return best[0], best[1]
+    for idx in range(root.n_edges):
+        v = float(point.x[idx])
+        frac = min(v - math.floor(v), math.ceil(v) - v)
+        if frac > INT_TOL and (best is None or frac > best[2] + 1e-12):
+            best = (idx, v, frac)
+    return None if best is None else (best[0], best[1])
+
+
+def test_branch_variable_matches_sequential_scan(rng):
+    root = build_root(random_euclid_instance(rng, 7, 3, 2))
+    # integral values, fractions tied within and just beyond 1e-12, and
+    # fractions at INT_TOL
+    pool = np.array([0.0, 1.0, 2.0, 0.5, 0.5 - 5e-13, 0.5 - 2e-12, 1.5, 0.3, 0.7, 1e-6, 1 - 2e-6])
+    for _ in range(400):
+        y = rng.choice(pool, size=root.instance.n_nodes)
+        x = rng.choice(pool, size=root.n_edges)
+        if rng.random() < 0.3:
+            y = np.rint(y)
+        if rng.random() < 0.2:
+            x = np.rint(x)
+        point = FractionalPoint(x=x, y=y)
+        assert _branch_variable(point, root) == _branch_variable_by_scan(point, root)
+
+
+def test_live_continuations_do_not_refactorize(monkeypatch):
+    # a child popped while the core holds its parent's final basis
+    # re-solves on the live inverse; every other node inverts its stored
+    # basis once. refactor_every is out of reach, so the cadence adds none
+    counts = {"live": 0, "jump": 0, "live_inverses": 0, "jump_inverses": 0}
+    inverses = [0]
+    real_refactor, real_warm = simplex._Core.refactor, exact.warm_solve
+
+    def refactor(core):
+        inverses[0] += 1
+        real_refactor(core)
+
+    def warm(core, lower, upper, basis_labels=None, *args, **kwargs):
+        kind = "live" if basis_labels is None else "jump"
+        before = inverses[0]
+        sol = real_warm(core, lower, upper, basis_labels, *args, **kwargs)
+        counts[kind] += 1
+        counts[kind + "_inverses"] += inverses[0] - before
+        return sol
+
+    monkeypatch.setattr(simplex._Core, "refactor", refactor)
+    monkeypatch.setattr(exact, "warm_solve", warm)
+    options = SimplexOptions(refactor_every=10**9)
+    res = solve_exact(generate(SuiteSpec(seed=0))[3], node_limit=300, options=options)
+    assert res.stats["warm_fallbacks"] == 0
+    assert counts["live"] > 50 and counts["jump"] > 50
+    assert counts["live_inverses"] == 0
+    assert counts["jump_inverses"] == counts["jump"]

@@ -1,5 +1,8 @@
 """LP core against vertex enumeration, duality, rays, warm restarts."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from pgvrp.simplex import (
     lp_dump,
     resolve_with_added_row,
     solve,
+    warm_solve,
 )
 
 from util_lp import feasible, random_bounded_lp, vertex_enumeration_optimum
@@ -82,6 +86,30 @@ def test_matches_vertex_enumeration_bulk(rng):
         if abs(sol.objective - ref) > 1e-7 * (1 + abs(ref)):
             mismatches += 1
     assert mismatches == 0
+
+
+def test_lower_bounds_match_vertex_enumeration(rng):
+    negative_rhs = fixed = 0
+    for _ in range(300):
+        lp = random_bounded_lp(rng, max_vars=5, max_rows=5, lower_bounds=True)
+        # rows whose right-hand side turns negative once x is shifted by
+        # its lower bound, and columns fixed at lower = upper
+        negative_rhs += int(np.sum(lp.b - lp.A @ lp.lower < 0))
+        fixed += int(np.sum(lp.lower == lp.upper))
+        sol = solve(lp)
+        ref = vertex_enumeration_optimum(lp)
+        assert ref is not None  # feasible by construction
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref, abs=1e-7 * (1 + abs(ref)))
+        assert feasible(lp, sol.x, tol=1e-8 * (1 + np.abs(lp.b).sum()))
+    assert negative_rhs > 0 and fixed > 0
+
+
+def test_crossed_bounds_are_infeasible():
+    lp = LinearProgram(c=[1.0], A=np.zeros((0, 1)), senses=[], b=[], upper=[1.0], lower=[2.0])
+    assert solve(lp).status == "infeasible"
+    core = solve(replace(lp, lower=[0.0])).core
+    assert warm_solve(core, [2.0], [1.0]).status == "infeasible"
 
 
 def test_duality_and_feasibility_residuals(rng):
@@ -261,36 +289,112 @@ def test_resolve_twice_from_one_solution(rng):
         checked += 1
 
 
+def _branch_bounds(rng, x, lower, upper):
+    """Bounds of a child: ub = floor(v) or lb = ceil(v) on a fractional
+    (hence basic) column of the optimum x; None when x is integral."""
+    frac = np.flatnonzero(np.abs(x - np.rint(x)) > 1e-6)
+    if frac.size == 0:
+        return None
+    j = int(rng.choice(frac))
+    lower, upper = lower.copy(), upper.copy()
+    if rng.random() < 0.5:
+        upper[j] = math.floor(x[j])
+    else:
+        lower[j] = math.ceil(x[j])
+    return lower, upper
+
+
+def test_live_core_bounds_cuts_and_jumps_match_cold(rng):
+    # one core through branch-like bound changes, cuts, and jumps back to
+    # stored bases of the same LP taken before rows were added, the way
+    # solve_exact drives it; the reference is a cold solve each time
+    steps = {"branch": 0, "cut": 0, "jump": 0, "jump_past_rows": 0, "infeasible": 0}
+    for _ in range(4):
+        n, m = int(rng.integers(4, 8)), int(rng.integers(2, 6))
+        x0 = rng.uniform(0.0, 10.0, size=n)
+        A = rng.integers(-9, 10, size=(m, n)).astype(float)
+        senses = [(LE, GE, EQ)[int(k)] for k in rng.integers(0, 3, size=m)]
+        slack = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[s] for s in senses])
+        lp = LinearProgram(
+            c=rng.integers(-9, 10, size=n).astype(float),
+            A=A,
+            senses=senses,
+            b=A @ x0 + slack * rng.uniform(0.0, 3.0, size=m),
+            upper=np.full(n, 10.0),
+        )
+        sol = solve(lp)
+        core = sol.core
+        stored = [(sol.basis, sol.x, lp.lower, lp.upper)]  # optimal states
+        for _ in range(150):
+            child = _branch_bounds(rng, sol.x, lp.lower, lp.upper) if sol.status == "optimal" else None
+            kind = rng.choice(["branch", "cut", "jump"], p=[0.45, 0.3, 0.25])
+            if kind == "branch" and child is not None:
+                lp = replace(lp, lower=child[0], upper=child[1])
+                sol = warm_solve(core, *child)
+            elif kind == "cut" and sol.status == "optimal":
+                # valid at x0, which the root bounds keep feasible; cuts
+                # off the optimum where it can
+                a = rng.integers(-5, 6, size=n).astype(float)
+                at_x0, at_opt = float(a @ x0), float(a @ sol.x)
+                rhs = at_x0 + rng.uniform(0.0, 1.0) * (at_opt - at_x0)
+                row = (a, LE if at_opt >= at_x0 else GE, rhs)
+                sol = resolve_with_added_row(lp, sol, *row)
+                lp = lp.with_row(*row)
+            else:
+                kind = "jump"
+                basis, x, lower, upper = stored[int(rng.integers(len(stored)))]
+                steps["jump_past_rows"] += len(basis) < lp.n_rows
+                lower, upper = _branch_bounds(rng, x, lower, upper) or (lower, upper)
+                lp = replace(lp, lower=lower, upper=upper)
+                sol = warm_solve(core, lower, upper, basis, x)
+            steps[kind] += 1
+            assert sol.fallback is None
+            core = sol.core
+            _check_against_cold(lp, sol, None)
+            if sol.status == "optimal":
+                stored.append((sol.basis, sol.x, lp.lower, lp.upper))
+            else:
+                steps["infeasible"] += 1
+    assert min(steps.values()) > 0, steps
+
+
 def test_exact_node_lps_match_highs(monkeypatch):
     # every 40th LP that solve_exact solves on row 5 of suite seed 0,
-    # node warm starts and cut re-solves alike, against HiGHS
+    # node starts and cut re-solves alike, with their variable bounds,
+    # against HiGHS
     linprog = pytest.importorskip("scipy.optimize").linprog
     from pgvrp import exact
     from pgvrp.bench import SuiteSpec, generate
 
-    kept, count, grown = [], [0], [None, None]  # grown: node LP, with its cuts
+    kept, count = [], [0]
 
-    def keep(lp, sol):
+    def keep(posed, solve_it):
         count[0] += 1
-        if count[0] % 40 == 1:
+        lp = posed() if count[0] % 40 == 1 else None
+        sol = solve_it()
+        if lp is not None:
             kept.append((lp, sol.status, sol.objective))
         return sol
 
     real_warm, real_resolve = exact.warm_solve, exact.resolve_with_added_row
 
-    def warm(lp, *args, **kwargs):
-        return keep(lp, real_warm(lp, *args, **kwargs))
+    def warm(core, lower, upper, *args, **kwargs):
+        return keep(
+            lambda: replace(core.linear_program(), lower=lower, upper=upper),
+            lambda: real_warm(core, lower, upper, *args, **kwargs),
+        )
 
     def resolve(lp, sol, a, sense, rhs, options=None):
-        if grown[0] is not lp:
-            grown[:] = [lp, lp]
-        grown[1] = grown[1].with_row(a, sense, rhs)
-        return keep(grown[1], real_resolve(lp, sol, a, sense, rhs, options))
+        return keep(
+            lambda: sol.core.linear_program().with_row(a, sense, rhs),
+            lambda: real_resolve(lp, sol, a, sense, rhs, options),
+        )
 
     monkeypatch.setattr(exact, "warm_solve", warm)
     monkeypatch.setattr(exact, "resolve_with_added_row", resolve)
     exact.solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=10)
     assert len(kept) >= 5
+    assert any(np.any(lp.lower) for lp, _, _ in kept)  # branched up somewhere
     for lp, status, objective in kept:
         senses = np.array(lp.senses)
         le, ge, eq = senses == LE, senses == GE, senses == EQ
@@ -300,7 +404,7 @@ def test_exact_node_lps_match_highs(monkeypatch):
             b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
             A_eq=lp.A[eq],
             b_eq=lp.b[eq],
-            bounds=[(0.0, u) for u in lp.upper],
+            bounds=list(zip(lp.lower, lp.upper)),
             method="highs",
         )
         assert status == {0: "optimal", 2: "infeasible"}[ref.status]
@@ -329,3 +433,7 @@ def test_lp_dump_mentions_rows():
     lp = LinearProgram(c=[1.0, 0.0], A=[[1.0, 2.0]], senses=[GE], b=[3.0])
     text = lp_dump(lp)
     assert ">= 3" in text and "min" in text
+    bounded = LinearProgram(
+        c=[1.0, 0.0], A=[[1.0, 2.0]], senses=[GE], b=[3.0], upper=[4.0, np.inf], lower=[1.5, 0.0]
+    )
+    assert lp_dump(bounded).splitlines()[-1] == "  0 <= x; x0>=1.5, x0<=4"

@@ -10,7 +10,7 @@ from pgvrp.simplex import EQ, GE, LE, LinearProgram
 
 
 def feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-7) -> bool:
-    if np.any(x < -tol) or np.any(x > lp.upper + tol):
+    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         return False
     r = lp.A @ x
     for i, s in enumerate(lp.senses):
@@ -35,7 +35,7 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> float | None:
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        rows.append((e, 0.0))
+        rows.append((e, lp.lower[j]))
         if np.isfinite(lp.upper[j]):
             rows.append((e, lp.upper[j]))
     best = None
@@ -53,8 +53,14 @@ def vertex_enumeration_optimum(lp: LinearProgram) -> float | None:
     return best
 
 
-def random_bounded_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8):
-    """Feasible-by-construction LP with box upper bounds (hence bounded)."""
+def random_bounded_lp(
+    rng: np.random.Generator, max_vars: int = 8, max_rows: int = 8, lower_bounds: bool = False
+):
+    """Feasible-by-construction LP with box upper bounds (hence bounded).
+
+    With `lower_bounds`, each variable gets a lower bound between x0 - 3
+    and x0, negative ones included, and one in five is fixed at x0.
+    """
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(1, max_rows + 1))
     A = rng.integers(-9, 10, size=(m, n)).astype(float)
@@ -73,4 +79,9 @@ def random_bounded_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int
         senses.append(s)
     c = rng.integers(-9, 10, size=n).astype(float)
     upper = np.full(n, 10.0)
-    return LinearProgram(c=c, A=A, senses=senses, b=np.array(b), upper=upper)
+    lower = None
+    if lower_bounds:
+        lower = x0 - rng.integers(0, 4, size=n)
+        fixed = rng.random(n) < 0.2
+        lower[fixed] = upper[fixed] = x0[fixed]
+    return LinearProgram(c=c, A=A, senses=senses, b=np.array(b), upper=upper, lower=lower)
