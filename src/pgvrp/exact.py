@@ -120,71 +120,44 @@ def build_root(instance: Instance) -> RootRelaxation:
         bounds_mod.ub_simple(instance, detour), bounds_mod.ub_clustered(instance, detour)
     )
 
+    I, J = edge_endpoints(n)
     c = np.zeros(nv)
-    for e, idx in eidx.items():
-        c[idx] = d[e]
+    c[:ne] = d[I, J]
     c[col_theta] = -1.0
 
-    rows, senses, rhs = [], [], []
-
-    def add(row, s, r):
-        rows.append(row)
-        senses.append(s)
-        rhs.append(float(r))
-
-    for cl in instance.clusters:
+    cover = np.zeros((instance.n_clusters, nv))
+    for r, cl in enumerate(instance.clusters):
         # visiting a second member of a present cluster only adds length
         # under the triangle inequality, so exactly one member is chosen
-        row = np.zeros(nv)
-        for m in cl.members:
-            row[ne + m] = 1.0
-        add(row, EQ, 1.0)
-    for t in range(n):
-        row = np.zeros(nv)
-        for other in range(n):
-            if other != t:
-                row[eidx[(min(t, other), max(t, other))]] = 1.0
-        row[ne + t] = -2.0
-        add(row, GE, 0.0)
-    for t in range(1, n):
-        # passing through an unchosen node only adds length under the
-        # triangle inequality, so degree is pinned to 2 y_t; this also
-        # keeps every integral point decodable into tours
-        row = np.zeros(nv)
-        for other in range(n):
-            if other != t:
-                row[eidx[(min(t, other), max(t, other))]] = 1.0
-        row[ne + t] = -2.0
-        add(row, LE, 0.0)
-    row = np.zeros(nv)
-    for j in range(1, n):
-        row[eidx[(0, j)]] = 1.0
-    add(row, EQ, 2.0 * k)
-    row = np.zeros(nv)
-    row[ne + 0] = 1.0
-    add(row, EQ, float(k))
-    row = np.zeros(nv)
-    row[col_theta] = 1.0
-    for e, idx in eidx.items():
-        row[idx] = -(d[e] - b_mat[e])
-    add(row, LE, 0.0)
+        cover[r, ne + np.asarray(cl.members)] = 1.0
+    degree = np.zeros((n, nv))  # x(delta(t)) - 2 y_t
+    degree[I, np.arange(ne)] = 1.0
+    degree[J, np.arange(ne)] = 1.0
+    depot = degree[0].copy()  # the edges at the depot
+    degree[np.arange(n), ne + np.arange(n)] = -2.0
+    y0 = np.zeros(nv)
+    y0[ne] = 1.0
+    cap = np.zeros(nv)
+    cap[col_theta] = 1.0
+    cap[:ne] = -(d[I, J] - b_mat[I, J])
     # node-wise version of the clustered cap: only visited representatives
     # can contribute their detour saving, so theta <= sum detour_t y_t
-    row = np.zeros(nv)
-    row[col_theta] = 1.0
-    for t in range(1, n):
-        row[ne + t] = -detour[t]
-    add(row, LE, 0.0)
+    node_cap = np.zeros(nv)
+    node_cap[col_theta] = 1.0
+    node_cap[ne + 1 : col_theta] = -detour[1:]
+    # passing through an unchosen node only adds length under the triangle
+    # inequality, so degree is pinned to 2 y_t for t >= 1 (the second
+    # degree block); this also keeps every integral point decodable
+    A = np.vstack([cover, degree, degree[1:], depot, y0, cap, node_cap])
+    senses = [EQ] * len(cover) + [GE] * n + [LE] * (n - 1) + [EQ, EQ, LE, LE]
+    b = np.array([1.0] * len(cover) + [0.0] * (2 * n - 1) + [2.0 * k, float(k), 0.0, 0.0])
 
     upper = np.ones(nv)
-    for j in range(1, n):
-        upper[eidx[(0, j)]] = 2.0
+    upper[:ne][I == 0] = 2.0
     upper[ne] = float(k)
     upper[col_theta] = max(U, 0.0)
 
-    lp = LinearProgram(
-        c=c, A=np.array(rows), senses=senses, b=np.array(rhs), upper=upper
-    )
+    lp = LinearProgram(c=c, A=A, senses=senses, b=b, upper=upper)
     return RootRelaxation(
         instance=instance,
         lp=lp,
@@ -492,7 +465,9 @@ def solve_exact(
 
     Returns the incumbent and the best open bound when the time limit (or
     node limit) halts the search early. Cuts are globally valid and
-    pooled. Every node re-solves the root LP plus the pool under its own
+    pooled. Each separation round borders all its fresh GSECs onto the
+    core and re-solves once; an optimality cut is a round of one. Every
+    node re-solves the root LP plus the pool under its own
     bounds on one simplex core: a child popped while the core still holds
     its parent's final basis continues on it, any other node installs the
     parent's basis and inverts it once.
@@ -511,7 +486,9 @@ def solve_exact(
     z_best = expected_length(incumbent, instance)
     pooled_gsec: set[tuple[frozenset[int], int]] = set()
     log: list[str] = []
-    stats = {"nodes": 0, "lp_solves": 0, "gsec_cuts": 0, "opt_cuts": 0}
+    # cut_rounds counts the separation rounds that added GSECs, each one
+    # re-solve
+    stats = {"nodes": 0, "lp_solves": 0, "gsec_cuts": 0, "opt_cuts": 0, "cut_rounds": 0}
     # warm starts that fell back to a cold solve, each with its reason
     stats["warm_fallbacks"], stats["warm_fallback_reasons"] = 0, []
 
@@ -634,12 +611,12 @@ def solve_exact(
                 if (g.S, g.anchor) not in pooled_gsec
             ]
             if fresh:
-                for g in fresh:
-                    pooled_gsec.add((g.S, g.anchor))
-                    row = gsec_row(g, root)
-                    # the core holds the pool; root_lp is the LP it grew from
-                    sol = counted(resolve_with_added_row(root_lp, sol, *row, options=options))
-                    stats["gsec_cuts"] += 1
+                # the core holds the pool; one re-solve per round
+                pooled_gsec.update((g.S, g.anchor) for g in fresh)
+                rows = [gsec_row(g, root) for g in fresh]
+                sol = counted(resolve_with_added_row(core, rows, options))
+                stats["gsec_cuts"] += len(fresh)
+                stats["cut_rounds"] += 1
                 note("gsec", obj)
                 continue
 
@@ -681,7 +658,7 @@ def solve_exact(
                 break
             # built from the LP point, so junk edges join the support
             row = _recourse_cut(point.x, q_val, root.U, root)
-            sol = counted(resolve_with_added_row(root_lp, sol, *row, options=options))
+            sol = counted(resolve_with_added_row(core, [row], options))
             stats["opt_cuts"] += 1
             note("optcut", obj)
 

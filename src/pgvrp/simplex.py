@@ -9,10 +9,12 @@ values, row duals, an unbounded ray when there is one, and the final basis.
 
 A solution also carries its live solver state, which later re-solves of
 the same LP continue from:
-- `resolve_with_added_row` borders a cutting plane onto it: the basis
-  inverse becomes [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the new
-  slack's coefficient, an O(m^2) update in place of a rebuilt LP and a
-  fresh O(m^3) inverse.
+- `resolve_with_added_row` borders a batch of cutting planes onto it,
+  such as one separation round's, and re-optimizes once. Each row borders
+  the basis inverse to [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the
+  new slack's coefficient, an O(m^2) update in place of a rebuilt LP and
+  a fresh O(m^3) inverse; one dual simplex pass then repairs primal
+  feasibility for the whole batch.
 - `warm_solve` moves the variable bounds, which shifts the right-hand side
   by A (l_new - l_old) and keeps the basis dual feasible. It continues on
   the live basis inverse, or installs a stored basis of the same LP taken
@@ -300,7 +302,11 @@ class _Core:
                 window = t_min + 1e-9 * (1.0 + abs(t_min))
                 cand = np.where(ratios <= window)[0]
                 if self.bland:
-                    blocker = int(cand[np.argmin(self.labels[self.basis[cand]])])
+                    # exact ties only: a blocker whose ratio exceeds t_min
+                    # leaves the t_min rows infeasible by the difference
+                    # times their dB, and Bland's rule ignores |dB|
+                    tied = np.flatnonzero(ratios == t_min)
+                    blocker = int(tied[np.argmin(self.labels[self.basis[tied]])])
                 else:
                     blocker = int(cand[np.argmax(np.abs(dB[cand]))])
                 t_best = t_min
@@ -635,39 +641,33 @@ def warm_solve(
 
 
 def resolve_with_added_row(
-    lp: LinearProgram,
-    solution: LpSolution,
-    a: Sequence[float],
-    sense: str,
-    rhs: float,
+    core: _Core,
+    rows: Sequence[tuple[Sequence[float], str, float]],
     options: SimplexOptions | None = None,
 ) -> LpSolution:
-    """Re-solve lp extended by one row, warm-starting from a previous basis.
+    """Border cutting planes (a, sense, rhs) onto a live core, re-solve once.
 
-    The previous optimal basis stays dual feasible after the row is added
-    (the new row's slack completes it), so the dual simplex repairs primal
-    feasibility in a few pivots. An optimal solution hands its live core,
-    which holds every row added since it was built, to one re-solve; `lp`
-    may then be the LP `solution` solves or any LP the core grew from.
-    Otherwise the basis is installed on a core built from the extended LP.
-    An equality row, a non-optimal solution or a numerical failure of the
-    live core takes a cold solve of the extended LP.
+    The core must hold an optimal basis of its LP. Each row's slack
+    completes that basis and keeps it dual feasible, so one dual simplex
+    pass repairs primal feasibility for all the rows together. Cuts are
+    inequalities: an `=` row raises SimplexError. A numerical failure
+    falls back to a cold solve of the core's LP, which holds every row of
+    the batch, says why in `LpSolution.fallback`, and the solution
+    carries the new core.
     """
     opt = options or SimplexOptions()
-    core, solution.core = solution.core, None
-    live = core is not None and solution.status == "optimal"
-    if live and sense != EQ and core.n == lp.n_vars and lp.n_rows <= core.m:
-        try:
-            core.add_row(a, sense, rhs)
-            return core.reoptimize()
-        except SimplexError as exc:
-            return _cold_fallback(core.linear_program(), opt, str(exc))
-    extended = lp.with_row(a, sense, rhs)
-    if solution.status != "optimal" or solution.basis is None or sense == EQ:
-        return solve(extended, opt)
-    core = _Core(extended, opt)
-    core.freeze_artificials()  # warm starts never touch artificial columns
-    return warm_solve(core, extended.lower, extended.upper, solution.basis, solution.x, opt)
+    if any(sense == EQ for _, sense, _ in rows):
+        raise SimplexError("a cut row must be an inequality")
+    m = core.m
+    try:
+        for row in rows:
+            core.add_row(*row)
+        return core.reoptimize()
+    except SimplexError as exc:
+        lp = core.linear_program()
+        for row in rows[core.m - m :]:  # those not yet bordered
+            lp = lp.with_row(*row)
+        return _cold_fallback(lp, opt, str(exc))
 
 
 def lp_dump(lp: LinearProgram) -> str:

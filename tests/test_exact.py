@@ -39,6 +39,80 @@ def small_instances(rng, count, n_hi=8, m_hi=4, k_hi=2):
     return out
 
 
+def _root_rows_by_loops(inst, root):
+    """build_root's rows, one Python loop per row: the reference."""
+    n, ne, nv = inst.n_nodes, root.n_edges, root.lp.n_vars
+    k = min(inst.vehicles, inst.n_clusters)
+    eidx, d, col_theta = edge_index(n), inst.distances, root.col_theta
+    c = np.zeros(nv)
+    for e, idx in eidx.items():
+        c[idx] = d[e]
+    c[col_theta] = -1.0
+    rows, senses, rhs = [], [], []
+
+    def add(row, s, r):
+        rows.append(row)
+        senses.append(s)
+        rhs.append(float(r))
+
+    for cl in inst.clusters:
+        row = np.zeros(nv)
+        for m in cl.members:
+            row[ne + m] = 1.0
+        add(row, "=", 1.0)
+    for sense, nodes in ((">=", range(n)), ("<=", range(1, n))):
+        for t in nodes:
+            row = np.zeros(nv)
+            for other in range(n):
+                if other != t:
+                    row[eidx[(min(t, other), max(t, other))]] = 1.0
+            row[ne + t] = -2.0
+            add(row, sense, 0.0)
+    row = np.zeros(nv)
+    for j in range(1, n):
+        row[eidx[(0, j)]] = 1.0
+    add(row, "=", 2.0 * k)
+    row = np.zeros(nv)
+    row[ne + 0] = 1.0
+    add(row, "=", float(k))
+    row = np.zeros(nv)
+    row[col_theta] = 1.0
+    for e, idx in eidx.items():
+        row[idx] = -(d[e] - root.b[e])
+    add(row, "<=", 0.0)
+    row = np.zeros(nv)
+    row[col_theta] = 1.0
+    for t in range(1, n):
+        row[ne + t] = -root.detour[t]
+    add(row, "<=", 0.0)
+    upper = np.ones(nv)
+    for j in range(1, n):
+        upper[eidx[(0, j)]] = 2.0
+    upper[ne] = float(k)
+    upper[col_theta] = max(root.U, 0.0)
+    return c, np.array(rows), np.array(rhs), senses, upper
+
+
+def test_build_root_matches_loops(rng):
+    # Euclidean and explicit instances, singleton clusters, and more
+    # vehicles than clusters
+    for case in range(40):
+        n = int(rng.integers(3, 12))
+        m = n - 1 if case % 4 == 0 else int(rng.integers(1, n))
+        k = int(rng.integers(1, m + 3))
+        inst = random_euclid_instance(rng, n, m, k)
+        if case % 2:
+            inst = explicit_instance(
+                inst.distances, [(cl.probability, cl.members) for cl in inst.clusters], k
+            )
+        root = build_root(inst)
+        c, A, b, senses, upper = _root_rows_by_loops(inst, root)
+        lp = root.lp
+        assert np.array_equal(lp.c, c) and np.array_equal(lp.A, A)
+        assert np.array_equal(lp.b, b) and lp.senses == senses
+        assert np.array_equal(lp.upper, upper)
+
+
 def test_root_certain_forces_zero_theta(rng):
     inst = random_euclid_instance(rng, 6, 3, 1, p_range=(1.0, 1.0))
     root = build_root(inst)
@@ -255,6 +329,48 @@ def test_dual_resolves_stay_short(monkeypatch):
     res = solve_exact(generate(SuiteSpec(seed=20260810))[2], node_limit=60)
     assert 0 < longest[0] <= 1000
     assert res.stats["warm_fallbacks"] == 0
+
+
+def test_cut_rounds_resolve_once():
+    # one LP solve per node start, per separation round and per
+    # optimality cut; no node is pruned at its pop here
+    res = solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=2)
+    s = res.stats
+    assert s["lp_solves"] == s["cut_rounds"] + s["opt_cuts"] + s["nodes"]
+    assert 4 * s["lp_solves"] <= s["gsec_cuts"]
+    assert res.lower_bound == pytest.approx(67.11432055828014, abs=1e-9)
+    assert res.objective == 220.65429425532463
+
+
+def test_failed_cut_round_falls_back_with_every_row(monkeypatch):
+    # a numerical failure at the second border of a round of three or
+    # more GSECs: the cold solve that takes over poses every row of the
+    # round, and the fallback is counted
+    real_add, real_resolve = simplex._Core.add_row, exact.resolve_with_added_row
+    rounds, failed = [], []  # [rows before, rows in the round, rows after]
+
+    def add_row(core, *row):
+        real_add(core, *row)
+        before, size, _ = rounds[-1]
+        if not failed and size >= 3 and core.n_rows == before + 2:
+            failed.append(len(rounds) - 1)
+            raise SimplexError("forced failure inside a round")
+
+    def resolve(core, rows, options=None):
+        rounds.append([core.n_rows, len(rows), None])
+        sol = real_resolve(core, rows, options)
+        rounds[-1][2] = sol.core.n_rows
+        return sol
+
+    monkeypatch.setattr(simplex._Core, "add_row", add_row)
+    monkeypatch.setattr(exact, "resolve_with_added_row", resolve)
+    res = solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=2)
+    assert len(failed) == 1 and res.stats["warm_fallbacks"] == 1
+    assert "forced failure inside a round" in res.stats["warm_fallback_reasons"][0]
+    before, size, after = rounds[failed[0]]
+    assert after == before + size
+    assert all(after == before + size for before, size, after in rounds)
+    assert 0.0 < res.lower_bound <= res.objective
 
 
 def _branch_variable_by_scan(point, root):

@@ -163,9 +163,11 @@ def test_resolve_non_binding_row_keeps_objective(rng):
     base = solve(lp)
     a = np.zeros(lp.n_vars)
     a[0] = 1.0
-    warm = resolve_with_added_row(lp, base, a, LE, float(base.x[0]) + 5.0)
+    warm = resolve_with_added_row(base.core, [(a, LE, float(base.x[0]) + 5.0)])
     assert warm.status == "optimal"
     assert warm.objective == pytest.approx(base.objective, abs=1e-9)
+    with pytest.raises(SimplexError, match="inequality"):
+        resolve_with_added_row(warm.core, [(a, LE, 1.0), (a, EQ, 1.0)])
 
 
 def test_resolve_cutting_row_matches_cold(rng):
@@ -178,7 +180,7 @@ def test_resolve_cutting_row_matches_cold(rng):
         a = rng.integers(-5, 6, size=lp.n_vars).astype(float)
         cutoff = float(a @ base.x)
         sense, rhs = (LE, cutoff - 1.0) if rng.random() < 0.5 else (GE, cutoff + 1.0)
-        warm = resolve_with_added_row(lp, base, a, sense, rhs)
+        warm = resolve_with_added_row(base.core, [(a, sense, rhs)])
         cold = solve(lp.with_row(a, sense, rhs))
         assert warm.status == cold.status
         if cold.status == "optimal":
@@ -202,8 +204,15 @@ def _check_against_cold(lp, sol, options):
     assert np.all(sol.duals[senses == GE] >= -1e-7)
 
 
+def _with_rows(lp, rows):
+    for row in rows:
+        lp = lp.with_row(*row)
+    return lp
+
+
 def _cut_chain(rng, options, refactors):
-    """Chain 150-300 random cuts through the live core of one LP.
+    """Chain 150-300 random cuts through the live core of one LP, in
+    batches of 1-8 per re-solve.
 
     Every cut is valid for a fixed point x0 (so the LP stays feasible)
     and, where it can, cuts off the current optimum; LE and GE rows with
@@ -222,20 +231,24 @@ def _cut_chain(rng, options, refactors):
         upper=np.full(n, 10.0),
     )
     sol = solve(lp, options)
-    flips = 0
-    for _ in range(int(rng.integers(150, 301))):
-        # a cut along the cost vector makes a face optimal, and the
-        # dual pivots after it degenerate
-        a = lp.c if rng.random() < 0.2 else rng.integers(-5, 6, size=n).astype(float)
-        at_x0, at_opt = float(a @ x0), float(a @ sol.x)
-        rhs = at_x0 + rng.uniform(0.0, 1.0) * (at_opt - at_x0)
-        sense = LE if at_opt >= at_x0 else GE
-        flips += rhs < 0
+    flips = cuts = 0
+    target = int(rng.integers(150, 301))
+    while cuts < target:
+        rows = []
+        for _ in range(int(rng.integers(1, 9))):
+            # a cut along the cost vector makes a face optimal, and the
+            # dual pivots after it degenerate
+            a = lp.c if rng.random() < 0.2 else rng.integers(-5, 6, size=n).astype(float)
+            at_x0, at_opt = float(a @ x0), float(a @ sol.x)
+            rhs = at_x0 + rng.uniform(0.0, 1.0) * (at_opt - at_x0)
+            rows.append((a, LE if at_opt >= at_x0 else GE, rhs))
+            flips += rhs < 0
         n_ref = refactors[0]
-        sol = resolve_with_added_row(lp, sol, a, sense, rhs, options)
-        lp = lp.with_row(a, sense, rhs)
+        sol = resolve_with_added_row(sol.core, rows, options)
+        lp = _with_rows(lp, rows)
         refactors[1] += refactors[0] - n_ref
         _check_against_cold(lp, sol, options)
+        cuts += len(rows)
     assert flips > 0
 
 
@@ -263,30 +276,35 @@ def _cut_off(rng, lp, sol):
     return (a, LE, at - 1.0) if rng.random() < 0.5 else (a, GE, at + 1.0)
 
 
-def test_resolve_twice_from_one_solution(rng):
-    # the second re-solve from `first` finds its core handed over and maps
-    # its basis labels, those of a bordered core, onto a rebuilt LP
-    checked = 0
+def test_batched_borders_match_cold(rng):
+    # two batches of cuts bordered onto one core, then a jump back to the
+    # basis the core held before them. A repeated equality row keeps an
+    # artificial basic, whose label every border must shift, or the jump
+    # cannot find its column
+    checked = artificial = 0
     while checked < 40:
         lp = random_bounded_lp(rng, max_vars=5, max_rows=4)
         if lp.senses[0] == EQ:
-            # a repeated equality row keeps an artificial basic, whose
-            # label the border must shift
             lp = lp.with_row(lp.A[0], EQ, lp.b[0])
         base = solve(lp)
         if base.status != "optimal":
             continue
-        row = _cut_off(rng, lp, base)
-        first = resolve_with_added_row(lp, base, *row)
-        if first.status != "optimal":
-            continue
-        lp = lp.with_row(*row)
+        artificial += max(base.basis) >= lp.n_vars + lp.n_rows
+        sol = base
         for _ in range(2):
-            row = _cut_off(rng, lp, first)
-            warm = resolve_with_added_row(lp, first, *row)
-            assert warm.fallback is None
-            _check_against_cold(lp.with_row(*row), warm, None)
-        checked += 1
+            rows = [_cut_off(rng, lp, sol) for _ in range(int(rng.integers(1, 5)))]
+            sol = resolve_with_added_row(base.core, rows)
+            lp = _with_rows(lp, rows)
+            assert sol.fallback is None
+            _check_against_cold(lp, sol, None)
+            if sol.status != "optimal":
+                break
+        else:
+            sol = warm_solve(base.core, lp.lower, lp.upper, base.basis, base.x)
+            assert sol.fallback is None
+            _check_against_cold(lp, sol, None)
+            checked += 1
+    assert artificial > 0
 
 
 def _branch_bounds(rng, x, lower, upper):
@@ -338,7 +356,7 @@ def test_live_core_bounds_cuts_and_jumps_match_cold(rng):
                 at_x0, at_opt = float(a @ x0), float(a @ sol.x)
                 rhs = at_x0 + rng.uniform(0.0, 1.0) * (at_opt - at_x0)
                 row = (a, LE if at_opt >= at_x0 else GE, rhs)
-                sol = resolve_with_added_row(lp, sol, *row)
+                sol = resolve_with_added_row(core, [row])
                 lp = lp.with_row(*row)
             else:
                 kind = "jump"
@@ -359,9 +377,9 @@ def test_live_core_bounds_cuts_and_jumps_match_cold(rng):
 
 
 def test_exact_node_lps_match_highs(monkeypatch):
-    # every 40th LP that solve_exact solves on row 5 of suite seed 0,
-    # node starts and cut re-solves alike, with their variable bounds,
-    # against HiGHS
+    # every 8th LP that solve_exact solves on row 5 of suite seed 0, node
+    # starts and cut rounds alike (a round's LP holds all its rows), with
+    # their variable bounds, against HiGHS
     linprog = pytest.importorskip("scipy.optimize").linprog
     from pgvrp import exact
     from pgvrp.bench import SuiteSpec, generate
@@ -370,7 +388,7 @@ def test_exact_node_lps_match_highs(monkeypatch):
 
     def keep(posed, solve_it):
         count[0] += 1
-        lp = posed() if count[0] % 40 == 1 else None
+        lp = posed() if count[0] % 8 == 1 else None
         sol = solve_it()
         if lp is not None:
             kept.append((lp, sol.status, sol.objective))
@@ -384,16 +402,16 @@ def test_exact_node_lps_match_highs(monkeypatch):
             lambda: real_warm(core, lower, upper, *args, **kwargs),
         )
 
-    def resolve(lp, sol, a, sense, rhs, options=None):
+    def resolve(core, rows, options=None):
         return keep(
-            lambda: sol.core.linear_program().with_row(a, sense, rhs),
-            lambda: real_resolve(lp, sol, a, sense, rhs, options),
+            lambda: _with_rows(core.linear_program(), rows),
+            lambda: real_resolve(core, rows, options),
         )
 
     monkeypatch.setattr(exact, "warm_solve", warm)
     monkeypatch.setattr(exact, "resolve_with_added_row", resolve)
     exact.solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=10)
-    assert len(kept) >= 5
+    assert len(kept) >= 10
     assert any(np.any(lp.lower) for lp, _, _ in kept)  # branched up somewhere
     for lp, status, objective in kept:
         senses = np.array(lp.senses)
