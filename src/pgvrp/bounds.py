@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FractionalPoint, Instance, edges
+from .model import FractionalPoint, Instance, edge_endpoints
 
 
 def lower_bound_scaled(instance: Instance, gvrp_opt_length: float) -> float:
@@ -115,10 +115,5 @@ def theta_cap(instance: Instance, point: FractionalPoint, b: np.ndarray | None =
     """Functional recourse cap sum_{i<j} (d_ij - b_ij) x_ij at a point."""
     if b is None:
         b = b_matrix(instance)
-    d = instance.distances
-    total = 0.0
-    for k, (i, j) in enumerate(edges(instance.n_nodes)):
-        x = point.x[k]
-        if x:
-            total += (d[i, j] - b[i, j]) * x
-    return float(total)
+    I, J = edge_endpoints(instance.n_nodes)
+    return float((instance.distances[I, J] - b[I, J]) @ point.x)

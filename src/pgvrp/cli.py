@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
@@ -99,15 +100,7 @@ def cmd_bench(args) -> int:
     for p in paths:
         inst = model.load_instance(p.read_text(encoding="utf-8"))
         if not inst.name:
-            inst = model.Instance(
-                n_nodes=inst.n_nodes,
-                distances=inst.distances,
-                clusters=inst.clusters,
-                vehicles=inst.vehicles,
-                metric_kind=inst.metric_kind,
-                coordinates=inst.coordinates,
-                name=p.stem,
-            )
+            inst = dataclasses.replace(inst, name=p.stem)
         instances.append(inst)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     rows = bench.run_suite(instances, algos, time_limit=args.time_limit)

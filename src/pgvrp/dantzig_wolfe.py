@@ -118,14 +118,15 @@ def dw_lower_bound(master_objective: float, pricing_values: list[float]) -> floa
 
 
 def _price_block(
-    blk: Block, cpl: np.ndarray, w: np.ndarray, alpha: float, options
+    blk: Block, c: np.ndarray, cpl: np.ndarray, w: np.ndarray, alpha: float, options
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Maximize (w A_i - c_i) x + alpha_i over the block domain.
+    """Maximize (w A_i - c) x + alpha_i over the block domain, where c is
+    the block's cost (zero in phase one).
 
     Returns (value, vertex, None) for a bounded optimum and
     (+inf, None, ray) when profitable along an extreme ray.
     """
-    f = w @ cpl - blk.c
+    f = w @ cpl - c
     lp = LinearProgram(c=-f, A=blk.B, senses=[LE] * blk.B.shape[0], b=blk.b)
     sol = solve(lp, options)
     if sol.status == "infeasible":
@@ -204,16 +205,14 @@ def dw_solve(
         w, alpha = sol.duals[:m], sol.duals[m:]
         progressed = False
         for i, blk in enumerate(problem.blocks):
-            f = w @ problem.coupling[i]  # phase-one block costs are zero
-            lp = LinearProgram(c=-f, A=blk.B, senses=[LE] * blk.B.shape[0], b=blk.b)
-            sub = solve(lp, options)
-            if sub.status == "infeasible":
-                raise DantzigWolfeError("block domain is empty")
-            if sub.status == "unbounded":
-                add_ray(i, sub.ray / np.abs(sub.ray).max())
+            value, vertex, ray = _price_block(
+                blk, np.zeros(blk.n_vars), problem.coupling[i], w, float(alpha[i]), options
+            )
+            if ray is not None:
+                add_ray(i, ray)
                 progressed = True
-            elif float(f @ sub.x) + float(alpha[i]) > tol:
-                add_vertex(i, sub.x)
+            elif value > tol:
+                add_vertex(i, vertex)
                 progressed = True
             if progressed and partial_pricing:
                 break
@@ -237,7 +236,9 @@ def dw_solve(
         values: list[float] = []
         new_cols: list[tuple[str, int, np.ndarray]] = []
         for i, blk in enumerate(problem.blocks):
-            value, vertex, ray = _price_block(blk, problem.coupling[i], w, float(alpha[i]), options)
+            value, vertex, ray = _price_block(
+                blk, blk.c, problem.coupling[i], w, float(alpha[i]), options
+            )
             values.append(value)
             if ray is not None:
                 new_cols.append(("ray", i, ray))

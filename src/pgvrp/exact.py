@@ -35,7 +35,6 @@ from .model import (
     Instance,
     ValidationError,
     edge_endpoints,
-    edge_index,
     incidence_point,
     triangle_check,
 )
@@ -44,6 +43,7 @@ from .simplex import (
     GE,
     LE,
     LinearProgram,
+    SimplexError,
     SimplexOptions,
     resolve_with_added_row,
     solve,
@@ -66,7 +66,6 @@ class GsecCut:
 class RootRelaxation:
     instance: Instance
     lp: LinearProgram
-    edge_idx: dict[tuple[int, int], int]
     n_edges: int
     col_theta: int
     U: float
@@ -109,8 +108,8 @@ def build_root(instance: Instance) -> RootRelaxation:
     """
     n = instance.n_nodes
     k = min(instance.vehicles, instance.n_clusters)
-    eidx = edge_index(n)
-    ne = len(eidx)
+    I, J = edge_endpoints(n)
+    ne = len(I)
     nv = ne + n + 1
     col_theta = ne + n
     d = instance.distances
@@ -120,7 +119,6 @@ def build_root(instance: Instance) -> RootRelaxation:
         bounds_mod.ub_simple(instance, detour), bounds_mod.ub_clustered(instance, detour)
     )
 
-    I, J = edge_endpoints(n)
     c = np.zeros(nv)
     c[:ne] = d[I, J]
     c[col_theta] = -1.0
@@ -161,7 +159,6 @@ def build_root(instance: Instance) -> RootRelaxation:
     return RootRelaxation(
         instance=instance,
         lp=lp,
-        edge_idx=eidx,
         n_edges=ne,
         col_theta=col_theta,
         U=U,
@@ -262,7 +259,7 @@ class _MaxFlow:
 
 
 def _crossing(S: frozenset[int], n: int) -> np.ndarray:
-    """Mask over `edges(n)` of the edges with exactly one end in S."""
+    """Mask of the edges (`edge_endpoints` order) with exactly one end in S."""
     in_S = np.zeros(n, dtype=bool)
     in_S[list(S)] = True
     I, J = edge_endpoints(n)
@@ -464,13 +461,14 @@ def solve_exact(
     """Depth-first branch-and-cut to a certified optimum.
 
     Returns the incumbent and the best open bound when the time limit (or
-    node limit) halts the search early. Cuts are globally valid and
-    pooled. Each separation round borders all its fresh GSECs onto the
-    core and re-solves once; an optimality cut is a round of one. Every
-    node re-solves the root LP plus the pool under its own
-    bounds on one simplex core: a child popped while the core still holds
-    its parent's final basis continues on it, any other node installs the
-    parent's basis and inverts it once.
+    node limit) halts the search early, or when an LP fails numerically
+    even on a cold solve; `stats["lp_failure"]` then says where and why.
+    Cuts are globally valid and pooled. Each separation round borders all
+    its fresh GSECs onto the core and re-solves once; an optimality cut is
+    a round of one. Every node re-solves the root LP plus the pool under
+    its own bounds on one simplex core: a child popped while the core
+    still holds its parent's final basis continues on it, any other node
+    installs the parent's basis and inverts it once.
     """
     t0 = time.perf_counter()
     worst = triangle_check(instance)
@@ -491,6 +489,7 @@ def solve_exact(
     stats = {"nodes": 0, "lp_solves": 0, "gsec_cuts": 0, "opt_cuts": 0, "cut_rounds": 0}
     # warm starts that fell back to a cold solve, each with its reason
     stats["warm_fallbacks"], stats["warm_fallback_reasons"] = 0, []
+    stats["lp_failure"] = None
 
     # the incumbent's recourse cut is valid everywhere and tightens theta.
     # One simplex core serves the whole search: its rows are this LP's
@@ -506,20 +505,18 @@ def solve_exact(
             fixings=(), depth=0, bound=0.0, excluded=frozenset(), u_local=root.U
         )
     ]
-    timed_out = False
+    stopped = False  # by the budget, or by an LP that failed even cold
 
-    def out_of_budget() -> bool:
-        nonlocal timed_out
+    def stopping() -> bool:
+        nonlocal stopped
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
-            timed_out = True
-            return True
+            stopped = True
         if node_limit is not None and stats["nodes"] >= node_limit:
-            timed_out = True
-            return True
-        return False
+            stopped = True
+        return stopped
 
     while stack:
-        if out_of_budget():
+        if stopping():
             break
         node = stack.pop()
         stats["nodes"] += 1
@@ -534,9 +531,18 @@ def solve_exact(
             note("prune", node.bound)
             continue
 
-        def counted(sol):
-            nonlocal core
+        def counted(lp_call, *args):
+            """The LP solve, counted; None if it failed even cold."""
+            nonlocal core, stopped
             stats["lp_solves"] += 1
+            try:
+                sol = lp_call(*args)
+            except SimplexError as exc:
+                # no cold solve got past it either: stop with the bounds
+                # proved so far
+                stopped = True
+                stats["lp_failure"] = f"node {node_id}: {exc}"
+                return None
             if sol.fallback is not None:
                 stats["warm_fallbacks"] += 1
                 stats["warm_fallback_reasons"].append(f"node {node_id}: {sol.fallback}")
@@ -544,15 +550,13 @@ def solve_exact(
             return sol
 
         if core is None:
-            sol = counted(solve(root_lp, options))
+            sol = counted(solve, root_lp, options)
+        elif node.parent == live:
+            # the parent's final basis is still live in the core
+            sol = counted(warm_solve, core, *_node_bounds(root, node))
         else:
-            # the parent's final basis is still live in the core, or the
-            # node installs it and inverts it once
-            lower, upper = _node_bounds(root, node)
-            if node.parent == live:
-                sol = counted(warm_solve(core, lower, upper, options=options))
-            else:
-                sol = counted(warm_solve(core, lower, upper, node.basis, node.x_prev, options))
+            # the node installs its parent's basis and inverts it once
+            sol = counted(warm_solve, core, *_node_bounds(root, node), node.basis, node.x_prev)
         live = node_id
 
         def push_children(col, lo_val, hi_val, obj, sol):
@@ -585,15 +589,18 @@ def solve_exact(
             stack.append(hi_child)
 
         while True:
+            if sol is None:
+                stack.append(node)  # with the bound its last LP proved
+                break
             if sol.status == "infeasible":
                 note("prune", math.inf)
                 break
             obj = float(sol.objective)
-            if out_of_budget():
+            node.bound = max(node.bound, obj)
+            if stopping():
                 # hand the half-processed region back with the bound its
                 # last LP proved, so it still counts toward the reported
                 # global lower bound
-                node.bound = max(node.bound, obj)
                 stack.append(node)
                 break
             if obj >= z_best - PRUNE_TOL:
@@ -614,7 +621,7 @@ def solve_exact(
                 # the core holds the pool; one re-solve per round
                 pooled_gsec.update((g.S, g.anchor) for g in fresh)
                 rows = [gsec_row(g, root) for g in fresh]
-                sol = counted(resolve_with_added_row(core, rows, options))
+                sol = counted(resolve_with_added_row, core, rows)
                 stats["gsec_cuts"] += len(fresh)
                 stats["cut_rounds"] += 1
                 note("gsec", obj)
@@ -658,7 +665,7 @@ def solve_exact(
                 break
             # built from the LP point, so junk edges join the support
             row = _recourse_cut(point.x, q_val, root.U, root)
-            sol = counted(resolve_with_added_row(core, [row], options))
+            sol = counted(resolve_with_added_row, core, [row])
             stats["opt_cuts"] += 1
             note("optcut", obj)
 
@@ -666,7 +673,7 @@ def solve_exact(
     lower = min(open_bounds) if open_bounds else z_best
     lower = min(lower, z_best)
     stats["seconds"] = time.perf_counter() - t0
-    status = "bound-only" if timed_out and stack else "optimal"
+    status = "bound-only" if stopped and stack else "optimal"
     return ExactResult(
         status=status,
         solution=incumbent,

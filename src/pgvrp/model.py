@@ -251,7 +251,7 @@ def enumerate_scenarios(instance: Instance) -> Iterator[Scenario]:
 class FractionalPoint:
     """A (possibly fractional) point in the edge/node relaxation space.
 
-    x follows lexicographic edge order (see `edges`); depot edges may take
+    x follows lexicographic edge order (see `edge_endpoints`); depot edges may take
     values up to 2 to encode out-and-back tours.
     """
 
@@ -260,22 +260,20 @@ class FractionalPoint:
     theta: float = 0.0
 
 
-def edges(n_nodes: int) -> list[tuple[int, int]]:
-    """Lexicographic list of undirected edges (i, j), i < j, over n nodes."""
-    return [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
-
-
 @functools.lru_cache(maxsize=8)
 def edge_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j) of `edges(n_nodes)`, cached and read-only."""
+    """Endpoint arrays (i, j), i < j, of the undirected edges over n nodes
+    in lexicographic order; cached and read-only."""
     ends = np.triu_indices(n_nodes, k=1)
     for a in ends:
         a.flags.writeable = False
     return ends
 
 
-def edge_index(n_nodes: int) -> dict[tuple[int, int], int]:
-    return {e: k for k, e in enumerate(edges(n_nodes))}
+def edge_position(n_nodes: int, i, j):
+    """Position of edge (i, j), i < j, in `edge_endpoints` order; takes
+    integer arrays too."""
+    return i * (2 * n_nodes - i - 1) // 2 + j - i - 1
 
 
 def incidence_point(instance: Instance, sol: AprioriSolution) -> FractionalPoint:
@@ -284,10 +282,10 @@ def incidence_point(instance: Instance, sol: AprioriSolution) -> FractionalPoint
     Out-and-back tours put a 2 on their depot edge; y_0 equals the vehicle
     count.
     """
-    idx = edge_index(instance.n_nodes)
-    x = np.zeros(len(idx))
-    for e, cnt in sol.edge_counts().items():
-        x[idx[e]] = cnt
+    n = instance.n_nodes
+    x = np.zeros(n * (n - 1) // 2)
+    for (i, j), cnt in sol.edge_counts().items():
+        x[edge_position(n, i, j)] = cnt
     y = np.zeros(instance.n_nodes)
     y[0] = len(sol.tours)
     for v in sol.visited_nodes():

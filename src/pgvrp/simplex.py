@@ -4,11 +4,14 @@ Minimizes c.x subject to rows with senses =, <=, >= and variable bounds
 l <= x <= u (l finite, 0 by default; u may be infinite). The core solves
 for the shifted variables x' = x - l with 0 <= x' <= u - l: it works on the
 right-hand side b - A l and adds l back to the values it reports, so the
-pivot loops only ever see zero lower bounds. The solver reports primal
-values, row duals, an unbounded ray when there is one, and the final basis.
+pivot loops only ever see zero lower bounds. It stores every row, the LP's
+own and each cut alike, with a non-negative shifted right-hand side: a row
+whose right-hand side b - a.l is negative is negated and its sense flipped.
+The solver reports primal values, row duals, an unbounded ray when there is
+one, and the final basis.
 
 A solution also carries its live solver state, which later re-solves of
-the same LP continue from:
+the same LP continue from, on the options of the solve that built it:
 - `resolve_with_added_row` borders a batch of cutting planes onto it,
   such as one separation round's, and re-optimizes once. Each row borders
   the basis inverse to [[B^-1, 0], [-a_B B^-1 / s, 1/s]] with s = +-1 the
@@ -19,8 +22,11 @@ the same LP continue from:
   by A (l_new - l_old) and keeps the basis dual feasible. It continues on
   the live basis inverse, or installs a stored basis of the same LP taken
   when it had fewer rows and inverts it once.
-The inverse is refactorized from scratch once the pivots and borders since
-the last refactorization reach `refactor_every`.
+A re-solve that fails numerically falls back to a cold solve of the
+state's LP on the same options. The primal and the dual simplex change the
+basis through one eta update of the inverse, which is refactorized from
+scratch once the pivots and borders since the last refactorization reach
+`refactor_every`.
 
 Representation is dense throughout. Phase one minimizes the
 artificial-variable sum. Both the primal and the dual simplex fall back to
@@ -43,10 +49,12 @@ class SimplexError(RuntimeError):
     """Numeric breakdown or iteration-limit failure; never silent."""
 
 
+TOL_FEAS = 1e-8  # largest bound violation of a basic value deemed feasible
+TOL_OPT = 1e-8  # smallest reduced-cost violation that lets a column enter
+
+
 @dataclass
 class SimplexOptions:
-    tol_feas: float = 1e-8
-    tol_opt: float = 1e-8
     tol_pivot: float = 1e-10
     stall_limit: int = 400
     max_iterations: int = 200_000
@@ -127,6 +135,8 @@ class _Core:
     label >= n + m         -> artificial of row (label - n - m)
 
     Structural column j holds x_j - lo_j, bounded by ub_j = hi_j - lo_j.
+    Slack columns follow the structural ones in row order, then the
+    artificial columns (`art_cols`); a bordered row's slack goes last.
     """
 
     def __init__(self, lp: LinearProgram, options: SimplexOptions):
@@ -134,70 +144,51 @@ class _Core:
         m, n = lp.n_rows, lp.n_vars
         self.m, self.n = m, n
         self.c, self.lo, self.hi = lp.c, lp.lower, lp.upper
+        A, self.senses, self.b, self.row_sign = self._normalise(lp.A, lp.senses, lp.b)
 
-        # shift to x - lower; rows whose right-hand side is then negative
-        # are negated
-        b = lp.b - lp.A @ lp.lower
-        sign = np.where(b < 0, -1.0, 1.0)
-        A = lp.A * sign[:, None]
-        b = b * sign
-        negated = (sign < 0).tolist()
-        senses = [_FLIPPED[s] if neg else s for s, neg in zip(lp.senses, negated)]
-        self.row_sign = sign
-        self.senses = senses
-        self.b = b
-
-        labels = list(range(n))
-        extra: list[tuple[int, float]] = []  # (row, coefficient) unit columns
-        ub_extra: list[float] = []
-        self.slack_col: dict[int, int] = {}
-        for i, s in enumerate(senses):
-            if s == EQ:
-                continue
-            extra.append((i, 1.0 if s == LE else -1.0))
-            labels.append(n + i)
-            ub_extra.append(np.inf)
-            self.slack_col[i] = len(labels) - 1
-        self.art_col: dict[int, int] = {}
-        for i in range(m):
-            # '<=' rows start from their slack, as do '>=' rows with a zero
-            # right-hand side (slack basic at 0); the rest need artificials
-            if senses[i] == LE or (senses[i] == GE and b[i] == 0.0):
-                continue
-            extra.append((i, 1.0))
-            labels.append(n + m + i)
-            ub_extra.append(np.inf)
-            self.art_col[i] = len(labels) - 1
-        self.N = n + len(extra)
+        # every inequality has a slack. '<=' rows start from it, as do '>='
+        # rows with a zero right-hand side (slack basic at 0); the rest
+        # start from an artificial
+        sense = np.array(self.senses, dtype=str)
+        slacks = np.flatnonzero(sense != EQ)
+        arts = np.flatnonzero((sense == EQ) | ((sense == GE) & (self.b != 0.0)))
+        self.N = n + slacks.size + arts.size
+        self.art_cols = n + slacks.size + np.arange(arts.size)
         self.Aext = np.zeros((m, self.N))
         self.Aext[:, :n] = A
-        for k, (i, coef) in enumerate(extra):
-            self.Aext[i, n + k] = coef
-        self.labels = np.array(labels)
-        self.ub = np.concatenate([lp.upper - lp.lower, np.array(ub_extra)])
+        self.Aext[slacks, n + np.arange(slacks.size)] = np.where(sense[slacks] == LE, 1.0, -1.0)
+        self.Aext[arts, self.art_cols] = 1.0
+        self.labels = np.concatenate([np.arange(n), n + slacks, n + m + arts])
+        self.ub = np.concatenate([lp.upper - lp.lower, np.full(self.N - n, np.inf)])
 
-        self.basis = np.array(
-            [self.art_col.get(i, self.slack_col.get(i, -1)) for i in range(m)],
-            dtype=int,
-        )
-        if np.any(self.basis < 0):
-            raise SimplexError("internal: row without initial basic column")
+        self.basis = np.empty(m, dtype=int)
+        self.basis[slacks] = n + np.arange(slacks.size)
+        self.basis[arts] = self.art_cols
         self.at_upper = np.zeros(self.N, dtype=bool)
         self.in_basis = np.zeros(self.N, dtype=bool)
         self.in_basis[self.basis] = True
         self.iterations = 0
         self.since_refactor = 0  # pivots and borders since the last inverse
         self.bland = False
-        self._stall = 0
-        self._best_obj = np.inf
         # the initial basis is a signed diagonal: invert it directly
-        diag = np.array([self.Aext[i, self.basis[i]] for i in range(m)])
-        self.Binv = np.diag(1.0 / diag) if m else np.eye(0)
-        self.xB = b / diag if m else b.copy()
+        diag = self.Aext[np.arange(m), self.basis]
+        self.Binv = np.diag(1.0 / diag)
+        self.xB = self.b / diag
 
     @property
     def n_rows(self) -> int:
         return self.m
+
+    def _normalise(self, A: np.ndarray, senses: Sequence[str], b: np.ndarray):
+        """Rows in the core's convention, and the sign each was multiplied by.
+
+        Shifts the right-hand sides to b - A lo, then negates each row whose
+        right-hand side is negative and flips its sense.
+        """
+        b = b - A @ self.lo
+        sign = np.where(b < 0, -1.0, 1.0)
+        senses = [s if g > 0 else _FLIPPED[s] for s, g in zip(senses, sign)]
+        return A * sign[:, None], senses, b * sign, sign
 
     # -- linear algebra helpers ------------------------------------------
 
@@ -211,6 +202,29 @@ class _Core:
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis during refactorization") from exc
         self.recompute_xB()
+
+    def _pivot(self, r: int, q: int, aq: np.ndarray, leave_at_upper: bool):
+        """Column q enters the basis in row r, given aq = B^-1 a_q.
+
+        The leaving column goes to its upper bound if `leave_at_upper` (and
+        the bound is finite), else to zero. An eta update of the inverse,
+        refactorized when due.
+        """
+        piv = aq[r]
+        if abs(piv) < self.opt.tol_pivot:
+            raise SimplexError("pivot element below threshold")
+        leave = self.basis[r]
+        self.Binv[r] /= piv
+        scale = aq.copy()
+        scale[r] = 0.0
+        self.Binv -= np.outer(scale, self.Binv[r])
+        self.basis[r] = q
+        self.in_basis[q] = True
+        self.in_basis[leave] = False
+        self.at_upper[q] = False
+        self.at_upper[leave] = bool(leave_at_upper and np.isfinite(self.ub[leave]))
+        self.iterations += 1
+        self._basis_changed()
 
     def _basis_changed(self):
         """Refactorize when due, else only refresh the basic values."""
@@ -247,9 +261,7 @@ class _Core:
 
     def primal(self, cost: np.ndarray) -> str:
         """Iterate to optimality; returns 'optimal' or 'unbounded'."""
-        tol = self.opt.tol_opt
-        self._stall = 0
-        self._best_obj = np.inf
+        best_obj, stall = np.inf, 0
         while True:
             if self.iterations > self.opt.max_iterations:
                 raise SimplexError("iteration limit exceeded")
@@ -258,35 +270,33 @@ class _Core:
             viol[self.in_basis] = -np.inf
             viol[self.ub == 0.0] = -np.inf  # fixed columns never enter
             if self.bland:
-                elig = np.where(viol > tol)[0]
+                elig = np.where(viol > TOL_OPT)[0]
                 if elig.size == 0:
                     return "optimal"
-                q = int(elig[np.argsort(self.labels[elig], kind="stable")[0]])
+                q = int(elig[np.argmin(self.labels[elig])])
             else:
                 q = int(np.argmax(viol))
-                if viol[q] <= tol:
+                if viol[q] <= TOL_OPT:
                     return "optimal"
-            if not self._step(cost, q):
+            if not self._step(q):
                 return "unbounded"
             obj = float(cost @ self.solution_values())
-            if obj < self._best_obj - 1e-12:
-                self._best_obj = obj
-                self._stall = 0
+            if obj < best_obj - 1e-12:
+                best_obj, stall = obj, 0
             else:
-                self._stall += 1
-                if self._stall > self.opt.stall_limit:
-                    self.bland = True
+                stall += 1
+                self.bland |= stall > self.opt.stall_limit
 
-    def _step(self, cost: np.ndarray, q: int) -> bool:
+    def _step(self, q: int) -> bool:
         """One pivot with entering column q; False means unbounded."""
         sigma = -1.0 if self.at_upper[q] else 1.0  # direction of x_q
         aq = self.Binv @ self.Aext[:, q]
         dB = -sigma * aq
         tol = self.opt.tol_pivot
 
-        # largest step before a basic variable or x_q itself hits a bound
-        t_own = self.ub[q] if np.isfinite(self.ub[q]) else np.inf
-        blocker = -1  # -1: bound flip of q
+        # the first basic variable to hit a bound leaves, unless x_q
+        # reaches its own upper bound first and only flips to it
+        blocker = -1
         if self.m:
             ubB = self.ub[self.basis]
             down = dB < -tol
@@ -295,12 +305,8 @@ class _Core:
             ratios[down] = self.xB[down] / -dB[down]
             ratios[up] = (ubB[up] - self.xB[up]) / dB[up]
             np.maximum(ratios, 0.0, out=ratios)
-            t_min = float(ratios.min()) if self.m else np.inf
-            if t_min < t_own + 1e-12 and np.isfinite(t_min):
-                # prefer large pivots within a small ratio tolerance; tiny
-                # pivots degrade the maintained inverse
-                window = t_min + 1e-9 * (1.0 + abs(t_min))
-                cand = np.where(ratios <= window)[0]
+            t_min = float(ratios.min())
+            if t_min < self.ub[q] + 1e-12 and np.isfinite(t_min):
                 if self.bland:
                     # exact ties only: a blocker whose ratio exceeds t_min
                     # leaves the t_min rows infeasible by the difference
@@ -308,40 +314,20 @@ class _Core:
                     tied = np.flatnonzero(ratios == t_min)
                     blocker = int(tied[np.argmin(self.labels[self.basis[tied]])])
                 else:
+                    # prefer large pivots within a small ratio tolerance;
+                    # tiny pivots degrade the maintained inverse
+                    window = t_min + 1e-9 * (1.0 + abs(t_min))
+                    cand = np.where(ratios <= window)[0]
                     blocker = int(cand[np.argmax(np.abs(dB[cand]))])
-                t_best = t_min
-            else:
-                t_best = t_own
+        if blocker >= 0:
+            self._pivot(blocker, q, aq, dB[blocker] > 0)
+        elif np.isfinite(self.ub[q]):
+            self.at_upper[q] = ~self.at_upper[q]
+            self.iterations += 1
+            self.recompute_xB()
         else:
-            t_best = t_own
-        if not np.isfinite(t_best):
             self._ray_col = q
             return False
-
-        t = max(t_best, 0.0)
-        self.xB += t * dB
-        self.iterations += 1
-        if blocker < 0:
-            self.at_upper[q] = ~self.at_upper[q]
-            self.recompute_xB()
-            return True
-
-        leave = self.basis[blocker]
-        hits_upper = dB[blocker] > 0
-        piv = aq[blocker]
-        if abs(piv) < tol:
-            raise SimplexError("pivot element below threshold")
-        # elementary update of the basis inverse
-        self.Binv[blocker] /= piv
-        scale = aq.copy()
-        scale[blocker] = 0.0
-        self.Binv -= np.outer(scale, self.Binv[blocker])
-        self.basis[blocker] = q
-        self.in_basis[q] = True
-        self.in_basis[leave] = False
-        self.at_upper[q] = False
-        self.at_upper[leave] = bool(hits_upper and np.isfinite(self.ub[leave]))
-        self._basis_changed()
         return True
 
     # -- dual simplex (for warm restarts after adding rows) ---------------
@@ -355,7 +341,6 @@ class _Core:
         (the cost of the current basic solution), the leaving row is the
         infeasible one with the smallest basic label (Bland's rule).
         """
-        tol = self.opt.tol_feas
         if self.m == 0:
             return "optimal"
         rc = self.reduced_costs(cost)
@@ -368,13 +353,13 @@ class _Core:
             above = self.xB - ubB
             worst = np.maximum(below, above)
             if self.bland:
-                rows = np.where(worst > tol)[0]
+                rows = np.where(worst > TOL_FEAS)[0]
                 if rows.size == 0:
                     return "optimal"
                 r = int(rows[np.argmin(self.labels[self.basis[rows]])])
             else:
                 r = int(np.argmax(worst))
-                if worst[r] <= tol:
+                if worst[r] <= TOL_FEAS:
                     return "optimal"
             too_low = below[r] >= above[r]
             row = self.Binv[r] @ self.Aext
@@ -390,7 +375,7 @@ class _Core:
             best = float(ratios.min())
             ties = cand[ratios <= best + 1e-12]
             q = int(ties[np.argmin(self.labels[ties])])
-            self._dual_pivot(r, q, too_low)
+            self._pivot(r, q, self.Binv @ self.Aext[:, q], not too_low)
             if self.since_refactor == 0:
                 rc = self.reduced_costs(cost)
             else:
@@ -401,41 +386,21 @@ class _Core:
             best_obj = max(best_obj, obj)
             self.bland |= stall > self.opt.stall_limit
 
-    def _dual_pivot(self, r: int, q: int, too_low: bool):
-        aq = self.Binv @ self.Aext[:, q]
-        piv = aq[r]
-        if abs(piv) < self.opt.tol_pivot:
-            raise SimplexError("dual pivot element below threshold")
-        leave = self.basis[r]
-        self.Binv[r] /= piv
-        scale = aq.copy()
-        scale[r] = 0.0
-        self.Binv -= np.outer(scale, self.Binv[r])
-        self.basis[r] = q
-        self.in_basis[q] = True
-        self.in_basis[leave] = False
-        self.at_upper[q] = False
-        self.at_upper[leave] = bool(not too_low and np.isfinite(self.ub[leave]))
-        self.iterations += 1
-        self._basis_changed()
-
     # -- re-solves -----------------------------------------------------------
 
     def add_row(self, a: Sequence[float], sense: str, rhs: float):
         """Border the basis with an inequality row; its slack enters basic.
 
-        The row is shifted and sign-normalised as in __init__. Its slack
+        The row is stored by the convention of `_normalise`. Its slack
         takes label n + m, so artificial labels shift up by one, and its
         column goes last. With s the slack's coefficient, the new basis
         [[B, 0], [a_B, s]] has the inverse [[B^-1, 0], [-a_B B^-1 / s, 1/s]].
         """
-        a = np.asarray(a, dtype=float)
-        rhs = rhs - float(a @ self.lo)
-        sign = -1.0 if rhs < 0 else 1.0
-        a, rhs = a * sign, rhs * sign
-        sense = sense if sign > 0 else _FLIPPED[sense]
+        a, senses, b, sign = self._normalise(
+            np.asarray(a, dtype=float)[None], [sense], np.array([rhs], dtype=float)
+        )
         m, n, N = self.m, self.n, self.N
-        s = 1.0 if sense == LE else -1.0
+        s = 1.0 if senses[0] == LE else -1.0
         self.Aext = np.pad(self.Aext, ((0, 1), (0, 1)))
         self.Aext[m, :n] = a
         self.Aext[m, N] = s
@@ -448,10 +413,9 @@ class _Core:
         self.at_upper = np.append(self.at_upper, False)
         self.in_basis = np.append(self.in_basis, True)
         self.basis = np.append(self.basis, N)
-        self.slack_col[m] = N
         self.row_sign = np.append(self.row_sign, sign)
-        self.senses.append(sense)
-        self.b = np.append(self.b, rhs)
+        self.senses += senses
+        self.b = np.append(self.b, b)
         self.m, self.N = m + 1, N + 1
         # the state above is complete before a refactorization can raise
         self._basis_changed()
@@ -524,9 +488,8 @@ class _Core:
         return cost
 
     def freeze_artificials(self):
-        for col in self.art_col.values():
-            self.ub[col] = 0.0
-            self.at_upper[col] = False
+        self.ub[self.art_cols] = 0.0
+        self.at_upper[self.art_cols] = False
 
     def result(self, status: str) -> LpSolution:
         if status == "infeasible":
@@ -563,7 +526,8 @@ def solve(lp: LinearProgram, options: SimplexOptions | None = None) -> LpSolutio
 
     A numerically degraded run (singular refactorization, vanishing
     pivots) is retried once on a conservative path: Bland's rule from the
-    start, frequent refactorization, stricter pivot threshold.
+    start, frequent refactorization, stricter pivot threshold. Either way
+    the solution's core re-solves on `options`.
     """
     opt = options or SimplexOptions()
     if np.any(lp.lower > lp.upper):
@@ -574,35 +538,38 @@ def solve(lp: LinearProgram, options: SimplexOptions | None = None) -> LpSolutio
         careful = replace(
             opt, stall_limit=0, refactor_every=20, tol_pivot=max(opt.tol_pivot, 1e-8)
         )
-        return _solve_once(lp, careful)
+        sol = _solve_once(lp, careful)
+        sol.core.opt = opt
+        return sol
 
 
 def _solve_once(lp: LinearProgram, opt: SimplexOptions) -> LpSolution:
     core = _Core(lp, opt)
-    if core.art_col:
+    if core.art_cols.size:
         cost1 = np.zeros(core.N)
-        for col in core.art_col.values():
-            cost1[col] = 1.0
-        status = core.primal(cost1)
-        if status != "optimal":
+        cost1[core.art_cols] = 1.0
+        if core.primal(cost1) != "optimal":
             raise SimplexError("phase one cannot be unbounded")
         infeas = float(cost1 @ core.solution_values())
-        if infeas > opt.tol_feas * (1.0 + float(np.abs(core.b).sum())):
+        if infeas > TOL_FEAS * (1.0 + float(np.abs(core.b).sum())):
             return core.result("infeasible")
         core.freeze_artificials()
         core.bland = False
-    status = core.primal(core.phase2_cost())
-    return core.result(status)
+    return core.result(core.primal(core.phase2_cost()))
 
 
-def _cold_fallback(lp: LinearProgram, opt: SimplexOptions, reason: str) -> LpSolution:
-    sol = solve(lp, opt)
+def _cold_fallback(
+    core: _Core, reason: str, rows: Sequence[tuple[Sequence[float], str, float]] = ()
+) -> LpSolution:
+    """Cold solve of the core's LP plus `rows`, on the core's options."""
+    lp = core.linear_program()
+    for row in rows:
+        lp = lp.with_row(*row)
+    sol = solve(lp, core.opt)
     sol.fallback = reason
-    if sol.core is not None:
-        # later re-solves continue on the new core, with the caller's
-        # options and, like every warm start, without artificial columns
-        sol.core.opt = opt
-        sol.core.freeze_artificials()
+    # later re-solves continue on the new core, like every warm start
+    # without artificial columns
+    sol.core.freeze_artificials()
     return sol
 
 
@@ -612,9 +579,8 @@ def warm_solve(
     upper: np.ndarray,
     basis_labels: Sequence[int] | None = None,
     x_prev: np.ndarray | None = None,
-    options: SimplexOptions | None = None,
 ) -> LpSolution:
-    """Re-solve a live core's LP under new variable bounds.
+    """Re-solve a live core's LP under new variable bounds, on its options.
 
     Without `basis_labels` the core continues from the basis it holds, on
     its live inverse. Otherwise it installs that basis, taken from an
@@ -624,10 +590,10 @@ def warm_solve(
     Bound changes and added rows both leave an optimal basis dual
     feasible, so the dual simplex repairs primal feasibility, then a
     primal pass confirms optimality. A numerical failure falls back to a
-    cold solve of the core's LP, says why in `LpSolution.fallback`, and
-    the solution carries the new core.
+    cold solve of the core's LP on the core's options, says why in
+    `LpSolution.fallback`, and the solution carries the new core. A
+    SimplexError from that cold solve propagates.
     """
-    opt = options or SimplexOptions()
     lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
     if np.any(lower > upper):
         return LpSolution(status="infeasible", core=core)
@@ -637,25 +603,23 @@ def warm_solve(
             core.install(basis_labels, x_prev)
         return core.reoptimize()
     except SimplexError as exc:
-        return _cold_fallback(core.linear_program(), opt, str(exc))
+        return _cold_fallback(core, str(exc))
 
 
 def resolve_with_added_row(
-    core: _Core,
-    rows: Sequence[tuple[Sequence[float], str, float]],
-    options: SimplexOptions | None = None,
+    core: _Core, rows: Sequence[tuple[Sequence[float], str, float]]
 ) -> LpSolution:
     """Border cutting planes (a, sense, rhs) onto a live core, re-solve once.
 
-    The core must hold an optimal basis of its LP. Each row's slack
-    completes that basis and keeps it dual feasible, so one dual simplex
-    pass repairs primal feasibility for all the rows together. Cuts are
-    inequalities: an `=` row raises SimplexError. A numerical failure
-    falls back to a cold solve of the core's LP, which holds every row of
-    the batch, says why in `LpSolution.fallback`, and the solution
-    carries the new core.
+    The core must hold an optimal basis of its LP, and the re-solve runs on
+    the core's options. Each row's slack completes that basis and keeps it
+    dual feasible, so one dual simplex pass repairs primal feasibility for
+    all the rows together. Cuts are inequalities: an `=` row raises
+    SimplexError. A numerical failure falls back to a cold solve of the
+    core's LP, which holds every row of the batch, on the core's options,
+    says why in `LpSolution.fallback`, and the solution carries the new
+    core. A SimplexError from that cold solve propagates.
     """
-    opt = options or SimplexOptions()
     if any(sense == EQ for _, sense, _ in rows):
         raise SimplexError("a cut row must be an inequality")
     m = core.m
@@ -664,23 +628,4 @@ def resolve_with_added_row(
             core.add_row(*row)
         return core.reoptimize()
     except SimplexError as exc:
-        lp = core.linear_program()
-        for row in rows[core.m - m :]:  # those not yet bordered
-            lp = lp.with_row(*row)
-        return _cold_fallback(lp, opt, str(exc))
-
-
-def lp_dump(lp: LinearProgram) -> str:
-    """Human-readable one-row-per-line dump for debugging."""
-    out = ["min " + " + ".join(f"{v:g}*x{j}" for j, v in enumerate(lp.c) if v)]
-    for i in range(lp.n_rows):
-        terms = " + ".join(f"{lp.A[i, j]:g}*x{j}" for j in range(lp.n_vars) if lp.A[i, j])
-        out.append(f"  {terms or '0'} {lp.senses[i]} {lp.b[i]:g}")
-    bounds = []
-    for j in range(lp.n_vars):
-        if lp.lower[j]:
-            bounds.append(f"x{j}>={lp.lower[j]:g}")
-        if np.isfinite(lp.upper[j]):
-            bounds.append(f"x{j}<={lp.upper[j]:g}")
-    out.append(f"  0 <= x{'; ' + ', '.join(bounds) if bounds else ''}")
-    return "\n".join(out)
+        return _cold_fallback(core, str(exc), rows[core.m - m :])  # those not yet bordered

@@ -12,7 +12,7 @@ from pgvrp.bounds import (
     ub_simple,
 )
 from pgvrp.evaluation import expected_recourse
-from pgvrp.model import incidence_point
+from pgvrp.model import FractionalPoint, incidence_point
 from pgvrp.oracle import (
     EnumerationBudget,
     best_apriori_bruteforce,
@@ -69,6 +69,16 @@ def reference_b_matrix(instance):
     return b
 
 
+def reference_theta_cap(instance, x, b):
+    d, total, k = instance.distances, 0.0, 0
+    for i in range(instance.n_nodes):
+        for j in range(i + 1, instance.n_nodes):
+            if x[k]:
+                total += (d[i, j] - b[i, j]) * x[k]
+            k += 1
+    return total
+
+
 def _random_partition(rng, n, m, p_one):
     """m shuffled clusters over nodes 1..n-1; each is certain with
     probability p_one."""
@@ -106,6 +116,18 @@ def test_vectorised_bounds_equal_reference_loops(rng):
             total += max(expect[t] for t in c.members)
         assert ub_clustered(inst) == total
         assert np.array_equal(b_matrix(inst), reference_b_matrix(inst))
+
+
+def test_theta_cap_equals_reference_loop(rng):
+    # one dot product in place of the loop's running sum: equal to within
+    # rounding
+    draw = np.random.default_rng(1)
+    for inst in _equivalence_instances(rng):
+        n, b = inst.n_nodes, b_matrix(inst)
+        ne = n * (n - 1) // 2
+        x = np.where(draw.random(ne) < 0.5, draw.uniform(0.0, 2.0, ne), 0.0)
+        cap = theta_cap(inst, FractionalPoint(x=x, y=np.zeros(n)), b)
+        assert cap == pytest.approx(reference_theta_cap(inst, x, b), rel=1e-12, abs=0.0)
 
 
 def test_all_certain_gives_zero_caps(rng):

@@ -17,7 +17,7 @@ from pgvrp.exact import (
     separate_gsec,
     solve_exact,
 )
-from pgvrp.model import FractionalPoint, edge_index, incidence_point
+from pgvrp.model import FractionalPoint, edge_position, incidence_point
 from pgvrp.oracle import (
     EnumerationBudget,
     best_apriori_bruteforce,
@@ -43,10 +43,11 @@ def _root_rows_by_loops(inst, root):
     """build_root's rows, one Python loop per row: the reference."""
     n, ne, nv = inst.n_nodes, root.n_edges, root.lp.n_vars
     k = min(inst.vehicles, inst.n_clusters)
-    eidx, d, col_theta = edge_index(n), inst.distances, root.col_theta
+    d, col_theta = inst.distances, root.col_theta
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     c = np.zeros(nv)
-    for e, idx in eidx.items():
-        c[idx] = d[e]
+    for i, j in edges:
+        c[edge_position(n, i, j)] = d[i, j]
     c[col_theta] = -1.0
     rows, senses, rhs = [], [], []
 
@@ -65,20 +66,20 @@ def _root_rows_by_loops(inst, root):
             row = np.zeros(nv)
             for other in range(n):
                 if other != t:
-                    row[eidx[(min(t, other), max(t, other))]] = 1.0
+                    row[edge_position(n, min(t, other), max(t, other))] = 1.0
             row[ne + t] = -2.0
             add(row, sense, 0.0)
     row = np.zeros(nv)
     for j in range(1, n):
-        row[eidx[(0, j)]] = 1.0
+        row[edge_position(n, 0, j)] = 1.0
     add(row, "=", 2.0 * k)
     row = np.zeros(nv)
     row[ne + 0] = 1.0
     add(row, "=", float(k))
     row = np.zeros(nv)
     row[col_theta] = 1.0
-    for e, idx in eidx.items():
-        row[idx] = -(d[e] - root.b[e])
+    for i, j in edges:
+        row[edge_position(n, i, j)] = -(d[i, j] - root.b[i, j])
     add(row, "<=", 0.0)
     row = np.zeros(nv)
     row[col_theta] = 1.0
@@ -87,7 +88,7 @@ def _root_rows_by_loops(inst, root):
     add(row, "<=", 0.0)
     upper = np.ones(nv)
     for j in range(1, n):
-        upper[eidx[(0, j)]] = 2.0
+        upper[edge_position(n, 0, j)] = 2.0
     upper[ne] = float(k)
     upper[col_theta] = max(root.U, 0.0)
     return c, np.array(rows), np.array(rhs), senses, upper
@@ -147,11 +148,10 @@ def test_gsec_flags_depot_free_cycle():
         [(0.9, [1]), (0.9, [2]), (0.9, [3]), (0.9, [4])],
         vehicles=1,
     )
-    eidx = edge_index(5)
-    x = np.zeros(len(eidx))
+    x = np.zeros(10)
     for e in [(1, 2), (2, 3), (1, 3)]:
-        x[eidx[e]] = 1.0
-    x[eidx[(0, 4)]] = 2.0
+        x[edge_position(5, *e)] = 1.0
+    x[edge_position(5, 0, 4)] = 2.0
     y = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
     cuts = separate_gsec(FractionalPoint(x=x, y=y), inst)
     assert any(c.S == frozenset({1, 2, 3}) for c in cuts)
@@ -165,16 +165,11 @@ def test_gsec_min_cut_catches_fractional_bridge():
         [(0.9, [v]) for v in range(1, 7)],
         vehicles=1,
     )
-    eidx = edge_index(7)
-    x = np.zeros(len(eidx))
-    for e in [(1, 2), (1, 3), (2, 3)]:
-        x[eidx[e]] = 1.0
-    for e in [(4, 5), (4, 6), (5, 6)]:
-        x[eidx[e]] = 1.0
-    x[eidx[(0, 1)]] = 0.5
-    x[eidx[(0, 2)]] = 0.5
-    x[eidx[(3, 4)]] = 0.25
-    x[eidx[(0, 5)]] = 0.25
+    x = np.zeros(21)
+    for e in [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]:
+        x[edge_position(7, *e)] = 1.0
+    for e, v in [((0, 1), 0.5), ((0, 2), 0.5), ((3, 4), 0.25), ((0, 5), 0.25)]:
+        x[edge_position(7, *e)] = v
     y = np.ones(7)
     cuts = separate_gsec(FractionalPoint(x=x, y=y), inst)
     assert cuts, "fractional bottleneck must be separated"
@@ -186,7 +181,6 @@ def test_optimality_cut_exact_at_generator_and_valid_everywhere(rng):
     budget = EnumerationBudget(max_nodes=8, max_clusters=4, max_vehicles=2)
     for inst in small_instances(rng, 8, n_hi=7, m_hi=3, k_hi=2):
         root = build_root(inst)
-        eidx = root.edge_idx
         for gen in enumerate_apriori_solutions(inst, budget):
             row, sense, rhs = optimality_cut(gen, inst, root.U, root)
             assert sense == "<="
@@ -356,9 +350,9 @@ def test_failed_cut_round_falls_back_with_every_row(monkeypatch):
             failed.append(len(rounds) - 1)
             raise SimplexError("forced failure inside a round")
 
-    def resolve(core, rows, options=None):
+    def resolve(core, rows):
         rounds.append([core.n_rows, len(rows), None])
-        sol = real_resolve(core, rows, options)
+        sol = real_resolve(core, rows)
         rounds[-1][2] = sol.core.n_rows
         return sol
 
@@ -435,3 +429,35 @@ def test_live_continuations_do_not_refactorize(monkeypatch):
     assert counts["live"] > 50 and counts["jump"] > 50
     assert counts["live_inverses"] == 0
     assert counts["jump_inverses"] == counts["jump"]
+
+
+def test_lp_failure_past_cold_fallback_stops_with_bound(monkeypatch):
+    # the third re-solve fails numerically, and so does the cold solve that
+    # takes over: the search stops and reports the bound of the root's
+    # last LP, with the reason
+    real_reoptimize, real_solve_once = simplex._Core.reoptimize, simplex._solve_once
+    calls, objectives = [0], []
+
+    def reoptimize(core):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise SimplexError("forced warm failure")
+        sol = real_reoptimize(core)
+        objectives.append(sol.objective)
+        return sol
+
+    def solve_once(lp, opt):
+        if calls[0] >= 3:
+            raise SimplexError("forced cold failure")
+        sol = real_solve_once(lp, opt)
+        objectives.append(sol.objective)
+        return sol
+
+    monkeypatch.setattr(simplex._Core, "reoptimize", reoptimize)
+    monkeypatch.setattr(simplex, "_solve_once", solve_once)
+    res = solve_exact(generate(SuiteSpec(seed=0))[4], node_limit=50)
+    assert res.status == "bound-only"
+    assert res.stats["nodes"] == 1 and res.stats["lp_solves"] == 4
+    assert res.stats["lp_failure"] == "node 1: forced cold failure"
+    assert res.lower_bound == objectives[-1]
+    assert 0.0 < res.lower_bound <= res.objective

@@ -12,6 +12,8 @@ from pgvrp.model import (
     Instance,
     ValidationError,
     check_feasible,
+    edge_endpoints,
+    edge_position,
     enumerate_scenarios,
     load_instance,
     load_solution,
@@ -176,3 +178,10 @@ def test_scenario_sum_large_m():
     )
     total = sum(sc.probability for sc in enumerate_scenarios(inst))
     assert abs(total - 1.0) <= 1e-12
+
+
+def test_edge_position_inverts_edge_endpoints():
+    for n in range(1, 12):
+        I, J = edge_endpoints(n)
+        assert np.array_equal(edge_position(n, I, J), np.arange(len(I)))
+        assert [edge_position(n, i, j) for i, j in zip(I.tolist(), J.tolist())] == list(range(len(I)))

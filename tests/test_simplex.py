@@ -14,7 +14,6 @@ from pgvrp.simplex import (
     LinearProgram,
     SimplexError,
     SimplexOptions,
-    lp_dump,
     resolve_with_added_row,
     solve,
     warm_solve,
@@ -244,7 +243,7 @@ def _cut_chain(rng, options, refactors):
             rows.append((a, LE if at_opt >= at_x0 else GE, rhs))
             flips += rhs < 0
         n_ref = refactors[0]
-        sol = resolve_with_added_row(sol.core, rows, options)
+        sol = resolve_with_added_row(sol.core, rows)  # on the options of `solve`
         lp = _with_rows(lp, rows)
         refactors[1] += refactors[0] - n_ref
         _check_against_cold(lp, sol, options)
@@ -402,10 +401,10 @@ def test_exact_node_lps_match_highs(monkeypatch):
             lambda: real_warm(core, lower, upper, *args, **kwargs),
         )
 
-    def resolve(core, rows, options=None):
+    def resolve(core, rows):
         return keep(
             lambda: _with_rows(core.linear_program(), rows),
-            lambda: real_resolve(core, rows, options),
+            lambda: real_resolve(core, rows),
         )
 
     monkeypatch.setattr(exact, "warm_solve", warm)
@@ -447,11 +446,21 @@ def test_degenerate_cycling_guard():
     assert sol.objective == pytest.approx(-0.05)
 
 
-def test_lp_dump_mentions_rows():
-    lp = LinearProgram(c=[1.0, 0.0], A=[[1.0, 2.0]], senses=[GE], b=[3.0])
-    text = lp_dump(lp)
-    assert ">= 3" in text and "min" in text
-    bounded = LinearProgram(
-        c=[1.0, 0.0], A=[[1.0, 2.0]], senses=[GE], b=[3.0], upper=[4.0, np.inf], lower=[1.5, 0.0]
-    )
-    assert lp_dump(bounded).splitlines()[-1] == "  0 <= x; x0>=1.5, x0<=4"
+def test_careful_retry_hands_back_callers_options(monkeypatch):
+    # the retry runs on conservative options; re-solves of its core run
+    # on the caller's
+    real = simplex._Core.primal
+    calls = [0]
+
+    def primal(core, cost):
+        calls[0] += 1
+        if calls[0] == 1:
+            raise SimplexError("forced failure")
+        return real(core, cost)
+
+    monkeypatch.setattr(simplex._Core, "primal", primal)
+    options = SimplexOptions(stall_limit=7)
+    lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], senses=[EQ], b=[4.0], upper=[10.0, 10.0])
+    sol = solve(lp, options)
+    assert calls[0] > 1 and sol.status == "optimal"
+    assert sol.core.opt == options
