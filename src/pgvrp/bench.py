@@ -26,7 +26,7 @@ from . import heuristics
 from .evaluation import deviation, expected_length
 from .exact import solve_exact
 from .model import Cluster, Instance
-from .oracle import EnumerationBudget, best_apriori_bruteforce
+from .oracle import best_apriori_bruteforce
 
 DEFAULT_ROWS: list[tuple[int, int, int]] = [
     (10, 2, 1),
@@ -159,8 +159,7 @@ def _run_one(instance: Instance, algo: str, time_limit: float | None):
             return res.objective, dt, "ok", res.solution
         return res.lower_bound, dt, "L", res.solution
     if algo == "oracle":
-        budget = EnumerationBudget(max_nodes=10, max_clusters=5, max_vehicles=3)
-        sol, obj = best_apriori_bruteforce(instance, budget)
+        sol, obj = best_apriori_bruteforce(instance)
         return obj, time.perf_counter() - t0, "ok", sol
     solver = {
         "mmI": heuristics.solve_mmI,

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import EQ, LE, LinearProgram, SimplexOptions, solve
+from .simplex import EQ, LE, LinearProgram, solve
+
+# the largest pricing value, and relative phase-one infeasibility, deemed zero
+TOL = 1e-9
+MAX_ITERATIONS = 500
 
 
 class DantzigWolfeError(RuntimeError):
@@ -118,7 +122,7 @@ def dw_lower_bound(master_objective: float, pricing_values: list[float]) -> floa
 
 
 def _price_block(
-    blk: Block, c: np.ndarray, cpl: np.ndarray, w: np.ndarray, alpha: float, options
+    blk: Block, c: np.ndarray, cpl: np.ndarray, w: np.ndarray, alpha: float
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """Maximize (w A_i - c) x + alpha_i over the block domain, where c is
     the block's cost (zero in phase one).
@@ -128,7 +132,7 @@ def _price_block(
     """
     f = w @ cpl - c
     lp = LinearProgram(c=-f, A=blk.B, senses=[LE] * blk.B.shape[0], b=blk.b)
-    sol = solve(lp, options)
+    sol = solve(lp)
     if sol.status == "infeasible":
         raise DantzigWolfeError("block domain is empty")
     if sol.status == "unbounded":
@@ -158,21 +162,14 @@ def _master_lp(
     return LinearProgram(c=costs, A=A, senses=senses, b=b)
 
 
-def dw_solve(
-    problem: DecomposedLP,
-    gap_tolerance: float = 1e-9,
-    partial_pricing: bool = False,
-    max_iterations: int = 500,
-    options: SimplexOptions | None = None,
-) -> DwResult:
-    """Column generation to within gap_tolerance of the true optimum."""
+def dw_solve(problem: DecomposedLP, partial_pricing: bool = False) -> DwResult:
+    """Column generation to within TOL of the true optimum."""
     m = problem.n_rows
     T = len(problem.blocks)
     rows = m + T
     art_sign = np.ones(rows)
     art_sign[:m] = np.where(problem.b >= 0, 1.0, -1.0)
     columns: list[_Column] = []
-    tol = 1e-9
 
     def add_vertex(i, x):
         columns.append(
@@ -186,7 +183,7 @@ def dw_solve(
 
     def master(costs):
         lp = _master_lp(problem, columns, costs, art_sign)
-        sol = solve(lp, options)
+        sol = solve(lp)
         if sol.status != "optimal":
             raise DantzigWolfeError(f"restricted master is {sol.status}")
         return sol
@@ -195,23 +192,23 @@ def dw_solve(
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise DantzigWolfeError("phase one iteration limit")
         costs = np.concatenate([np.zeros(len(columns)), np.ones(rows)])
         sol = master(costs)
         infeas = float(sol.objective)
-        if infeas <= tol * (1.0 + float(np.abs(problem.b).sum())):
+        if infeas <= TOL * (1.0 + float(np.abs(problem.b).sum())):
             break
         w, alpha = sol.duals[:m], sol.duals[m:]
         progressed = False
         for i, blk in enumerate(problem.blocks):
             value, vertex, ray = _price_block(
-                blk, np.zeros(blk.n_vars), problem.coupling[i], w, float(alpha[i]), options
+                blk, np.zeros(blk.n_vars), problem.coupling[i], w, float(alpha[i])
             )
             if ray is not None:
                 add_ray(i, ray)
                 progressed = True
-            elif value > tol:
+            elif value > TOL:
                 add_vertex(i, vertex)
                 progressed = True
             if progressed and partial_pricing:
@@ -224,7 +221,7 @@ def dw_solve(
     objective_trace: list[float] = []
     while True:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise DantzigWolfeError("iteration limit exceeded")
         big = 1e9 * (1.0 + max((abs(c.cost) for c in columns), default=1.0))
         costs = np.concatenate(
@@ -236,13 +233,11 @@ def dw_solve(
         values: list[float] = []
         new_cols: list[tuple[str, int, np.ndarray]] = []
         for i, blk in enumerate(problem.blocks):
-            value, vertex, ray = _price_block(
-                blk, blk.c, problem.coupling[i], w, float(alpha[i]), options
-            )
+            value, vertex, ray = _price_block(blk, blk.c, problem.coupling[i], w, float(alpha[i]))
             values.append(value)
             if ray is not None:
                 new_cols.append(("ray", i, ray))
-            elif value > gap_tolerance:
+            elif value > TOL:
                 new_cols.append(("vertex", i, vertex))
             if partial_pricing and new_cols:
                 break

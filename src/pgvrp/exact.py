@@ -15,6 +15,11 @@ computed exactly; if theta overshoots it, an optimality cut pins theta to
 Q at that point while staying above every other candidate. Search is
 depth-first with bound pruning against the incumbent, seeded by the
 max-min insertion heuristic.
+
+A node is its bounds: the root LP's variable bounds, tightened by one
+entry per branch. Branching down on y_t fixes y_t to 0, so t contributes
+no detour saving, and the child's recourse cap upper[theta] drops to the
+clustered cap recomputed without every node fixed to 0 (`_theta_cap`).
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .simplex import (
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
+GSEC_TOL = 1e-6  # support threshold, and the violation a returned GSEC exceeds
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,13 @@ class RootRelaxation:
 
 @dataclass(eq=False)
 class BranchNode:
-    fixings: tuple[tuple[str, int, float], ...]  # (kind 'ub'|'lb', col, value)
+    """The root LP's variable bounds as branching tightened them; theta's
+    upper bound is the node's recourse cap."""
+
+    lower: np.ndarray
+    upper: np.ndarray
     depth: int
     bound: float
-    excluded: frozenset[int]  # y-variables fixed to zero
-    u_local: float
     # the parent's id and final basis, from which this node's LP re-solves
     parent: int | None = None
     basis: tuple[int, ...] | None = None
@@ -172,16 +180,16 @@ def build_root(instance: Instance) -> RootRelaxation:
 # ---------------------------------------------------------------------------
 
 
-def _support(point: FractionalPoint, n: int, tol: float):
-    """(i, j, x_ij) of every edge above tol, in edge order."""
+def _support(point: FractionalPoint, n: int):
+    """(i, j, x_ij) of every edge above GSEC_TOL, in edge order."""
     I, J = edge_endpoints(n)
-    idx = np.flatnonzero(point.x > tol)
+    idx = np.flatnonzero(point.x > GSEC_TOL)
     return zip(I[idx].tolist(), J[idx].tolist(), point.x[idx].tolist())
 
 
-def _support_adjacency(point: FractionalPoint, instance: Instance, tol: float):
+def _support_adjacency(point: FractionalPoint, instance: Instance):
     adj: list[list[tuple[int, float]]] = [[] for _ in range(instance.n_nodes)]
-    for i, j, w in _support(point, instance.n_nodes, tol):
+    for i, j, w in _support(point, instance.n_nodes):
         adj[i].append((j, w))
         adj[j].append((i, w))
     return adj
@@ -267,10 +275,7 @@ def _crossing(S: frozenset[int], n: int) -> np.ndarray:
 
 
 def separate_gsec(
-    point: FractionalPoint,
-    instance: Instance,
-    tol: float = 1e-6,
-    include_min_cut: bool = True,
+    point: FractionalPoint, instance: Instance, include_min_cut: bool = True
 ) -> list[GsecCut]:
     """Violated connectivity cuts at a fractional point.
 
@@ -278,10 +283,10 @@ def separate_gsec(
     min-cut sweep from the depot to every meaningfully chosen node catches
     fractional bottlenecks thinner than 2 y_t (integral points never have
     any, so callers may skip the sweep for them). Every returned cut is
-    re-checked to be violated by more than `tol` at the point.
+    re-checked to be violated by more than GSEC_TOL at the point.
     """
     n = instance.n_nodes
-    adj = _support_adjacency(point, instance, tol)
+    adj = _support_adjacency(point, instance)
     cuts: list[GsecCut] = []
     seen_sets: set[frozenset[int]] = set()
 
@@ -290,7 +295,7 @@ def separate_gsec(
             return
         seen_sets.add(S)
         anchor = max(S, key=lambda v: (point.y[v], -v))
-        if 2.0 * point.y[anchor] - float(point.x[_crossing(S, n)].sum()) > tol:
+        if 2.0 * point.y[anchor] - float(point.x[_crossing(S, n)].sum()) > GSEC_TOL:
             cuts.append(GsecCut(S, anchor))
 
     depot_comp: set[int] = set()
@@ -303,14 +308,14 @@ def separate_gsec(
     if not include_min_cut:
         return cuts
     flow_net = _MaxFlow(n)
-    for i, j, w in _support(point, n, tol):
+    for i, j, w in _support(point, n):
         flow_net.add(i, j, w)
     handled: set[int] = set()
     for t in sorted(range(1, n), key=lambda v: (-point.y[v], v)):
-        if point.y[t] <= tol or t not in depot_comp or t in handled:
+        if point.y[t] <= GSEC_TOL or t not in depot_comp or t in handled:
             continue
         flow, reach = flow_net.min_cut(0, t)
-        if flow < 2.0 * point.y[t] - tol:
+        if flow < 2.0 * point.y[t] - GSEC_TOL:
             S = frozenset(v for v in range(1, n) if v not in reach)
             handled |= S  # nodes cut off together share this separator
             consider(S)
@@ -339,8 +344,7 @@ def _recourse_cut(
 
     theta <= U + (Q - U) (sum_{support} x_e - s + 1) with Q = q_val and s
     the total edge weight of x; at the generating point the right side is
-    Q, at every other candidate it is at least U. An LP point may add junk
-    edges, which join the support.
+    Q, at every other candidate it is at least U.
     """
     counts = np.rint(x[: root.n_edges])
     support = counts >= 1
@@ -356,62 +360,43 @@ def _recourse_cut(
 # ---------------------------------------------------------------------------
 
 
-def decode_tours(
-    x: np.ndarray, instance: Instance
-) -> tuple[AprioriSolution | None, int]:
-    """Integral x -> K depot tours; returns (None, 0) on a structural defect.
+def decode_tours(x: np.ndarray, instance: Instance) -> AprioriSolution:
+    """Integral x -> K depot tours; vehicles beyond min(K, m) get (0, 0).
 
-    Edges not lying on any depot walk (zero-cost leftovers the LP may keep)
-    are counted and otherwise ignored; the decoded solution still prices
-    them through the optimality-cut path. When K exceeds the cluster count
-    the extra vehicles appear as empty tours.
+    Each tour leaves the depot to its smallest remaining neighbour. Raises
+    ValueError unless the edges form exactly min(K, m) cycles through the
+    depot (an out-and-back tour uses its depot edge twice). An integral
+    point of the relaxation with no violated GSEC always does: the degree
+    rows pin each chosen node to degree 2 and the depot to 2 min(K, m),
+    and the GSECs tie every chosen node to the depot.
     """
     n = instance.n_nodes
     k = min(instance.vehicles, instance.n_clusters)
     I, J = edge_endpoints(n)
     counts = np.rint(x[: len(I)]).astype(int)
-    degree = np.bincount(I, counts, n) + np.bincount(J, counts, n)
-    used = np.flatnonzero(counts)
-    remaining = dict(zip(zip(I[used].tolist(), J[used].tolist()), counts[used].tolist()))
-    if degree[0] != 2 * k:
-        return None, 0
-    if np.any(degree[1:] > 2):
-        return None, 0
-
-    def take(a, b):
-        e = (min(a, b), max(a, b))
-        remaining[e] -= 1
-        if remaining[e] == 0:
-            del remaining[e]
-
+    used = np.repeat(np.arange(len(I)), counts)  # ValueError if any is negative
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(I[used].tolist(), J[used].tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(adj[0]) != 2 * k:
+        raise ValueError(f"depot degree {len(adj[0])}, not {2 * k}")
+    bad = [v for v in range(1, n) if len(adj[v]) not in (0, 2)]
+    if bad:
+        raise ValueError(f"node {bad[0]} has degree {len(adj[bad[0]])}")
+    ends = sorted(adj[0])  # depot neighbours not yet on a tour
     tours = []
-    for _ in range(instance.vehicles):
-        start = next(
-            (j for j in range(1, n) if remaining.get((0, j), 0)), None
-        )
-        if start is None:
-            tours.append((0, 0))
-            continue
-        walk = [0, start]
-        take(0, start)
-        v = start
+    while ends:
+        walk, prev, v = [0], 0, ends.pop(0)
         while v != 0:
-            nxt = None
-            for w in range(n):
-                if w != v and remaining.get((min(v, w), max(v, w)), 0):
-                    nxt = w
-                    break
-            if nxt is None:
-                return None, 0  # dangling path: not decodable
-            take(v, nxt)
-            walk.append(nxt)
-            v = nxt
-        tours.append(tuple(walk))
-    junk = sum(remaining.values())
-    interiors = [v for t in tours for v in t[1:-1]]
-    if len(set(interiors)) != len(interiors):
-        return None, 0
-    return AprioriSolution(tuple(tours)), junk
+            walk.append(v)
+            a, b = adj[v]
+            prev, v = v, b if a == prev else a
+        ends.remove(prev)
+        tours.append(tuple(walk) + (0,))
+    if sum(len(t) - 2 for t in tours) != sum(len(a) == 2 for a in adj[1:]):
+        raise ValueError("a cycle misses the depot")
+    return AprioriSolution(tuple(tours) + ((0, 0),) * (instance.vehicles - k))
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +404,11 @@ def decode_tours(
 # ---------------------------------------------------------------------------
 
 
-def _node_bounds(root: RootRelaxation, node: BranchNode) -> tuple[np.ndarray, np.ndarray]:
-    """The root's variable bounds tightened by the node's fixings and cap."""
-    lower, upper = root.lp.lower.copy(), root.lp.upper.copy()
-    for kind, col, value in node.fixings:
-        if kind == "ub":
-            upper[col] = min(upper[col], value)
-        else:
-            lower[col] = max(lower[col], value)
-    upper[root.col_theta] = min(upper[root.col_theta], max(node.u_local, 0.0))
-    return lower, upper
-
-
-def _u_for_exclusions(root: RootRelaxation, excluded: frozenset[int]) -> float:
-    # an excluded node is never visited, so it contributes no saving
-    detour = root.detour.copy()
-    detour[list(excluded)] = 0.0
-    return min(bounds_mod.ub_clustered(root.instance, detour), root.U)
+def _theta_cap(root: RootRelaxation, upper: np.ndarray) -> float:
+    """The recourse cap under the bounds `upper`: a node t with y_t fixed
+    to 0 is never visited, so it contributes no detour saving."""
+    detour = np.where(upper[root.n_edges : root.col_theta] == 0.0, 0.0, root.detour)
+    return max(min(bounds_mod.ub_clustered(root.instance, detour), root.U), 0.0)
 
 
 def _branch_variable(point: FractionalPoint, root: RootRelaxation) -> tuple[int, float] | None:
@@ -465,10 +438,10 @@ def solve_exact(
     even on a cold solve; `stats["lp_failure"]` then says where and why.
     Cuts are globally valid and pooled. Each separation round borders all
     its fresh GSECs onto the core and re-solves once; an optimality cut is
-    a round of one. Every node re-solves the root LP plus the pool under
-    its own bounds on one simplex core: a child popped while the core
-    still holds its parent's final basis continues on it, any other node
-    installs the parent's basis and inverts it once.
+    a round of one. A node is its variable bounds, and every node re-solves
+    the root LP plus the pool under them on one simplex core: a child
+    popped while the core still holds its parent's final basis continues on
+    it, any other node installs the parent's basis and inverts it once.
     """
     t0 = time.perf_counter()
     worst = triangle_check(instance)
@@ -482,7 +455,7 @@ def solve_exact(
     root = build_root(instance)
     incumbent = solve_MmI(instance)
     z_best = expected_length(incumbent, instance)
-    pooled_gsec: set[tuple[frozenset[int], int]] = set()
+    pooled_gsec: set[GsecCut] = set()
     log: list[str] = []
     # cut_rounds counts the separation rounds that added GSECs, each one
     # re-solve
@@ -498,13 +471,9 @@ def solve_exact(
     core = None
     live = None  # id of the node whose final basis the core holds
 
-    stack = [
-        BranchNode(
-            # expected lengths are non-negative, so 0 bounds the root
-            # before its LP is solved
-            fixings=(), depth=0, bound=0.0, excluded=frozenset(), u_local=root.U
-        )
-    ]
+    # expected lengths are non-negative, so 0 bounds the root before its
+    # LP is solved
+    stack = [BranchNode(root.lp.lower, root.lp.upper, depth=0, bound=0.0)]
     stopped = False  # by the budget, or by an LP that failed even cold
 
     def stopping() -> bool:
@@ -531,17 +500,20 @@ def solve_exact(
             note("prune", node.bound)
             continue
 
+        def failed(exc: Exception) -> None:
+            """Stop the search with the bounds proved so far."""
+            nonlocal stopped
+            stopped = True
+            stats["lp_failure"] = f"node {node_id}: {exc}"
+
         def counted(lp_call, *args):
             """The LP solve, counted; None if it failed even cold."""
-            nonlocal core, stopped
+            nonlocal core
             stats["lp_solves"] += 1
             try:
                 sol = lp_call(*args)
             except SimplexError as exc:
-                # no cold solve got past it either: stop with the bounds
-                # proved so far
-                stopped = True
-                stats["lp_failure"] = f"node {node_id}: {exc}"
+                failed(exc)  # no cold solve got past it either
                 return None
             if sol.fallback is not None:
                 stats["warm_fallbacks"] += 1
@@ -553,40 +525,11 @@ def solve_exact(
             sol = counted(solve, root_lp, options)
         elif node.parent == live:
             # the parent's final basis is still live in the core
-            sol = counted(warm_solve, core, *_node_bounds(root, node))
+            sol = counted(warm_solve, core, node.lower, node.upper)
         else:
             # the node installs its parent's basis and inverts it once
-            sol = counted(warm_solve, core, *_node_bounds(root, node), node.basis, node.x_prev)
+            sol = counted(warm_solve, core, node.lower, node.upper, node.basis, node.x_prev)
         live = node_id
-
-        def push_children(col, lo_val, hi_val, obj, sol):
-            excl = node.excluded
-            if col >= root.n_edges and col < root.col_theta and lo_val == 0.0:
-                excl = node.excluded | frozenset([col - root.n_edges])
-            lo_child = BranchNode(
-                fixings=node.fixings + (("ub", col, lo_val),),
-                depth=node.depth + 1,
-                bound=obj,
-                excluded=excl,
-                u_local=node.u_local
-                if excl == node.excluded
-                else min(node.u_local, _u_for_exclusions(root, excl)),
-                parent=node_id,
-                basis=sol.basis,
-                x_prev=sol.x,
-            )
-            hi_child = BranchNode(
-                fixings=node.fixings + (("lb", col, hi_val),),
-                depth=node.depth + 1,
-                bound=obj,
-                excluded=node.excluded,
-                u_local=node.u_local,
-                parent=node_id,
-                basis=sol.basis,
-                x_prev=sol.x,
-            )
-            stack.append(lo_child)
-            stack.append(hi_child)
 
         while True:
             if sol is None:
@@ -615,11 +558,11 @@ def solve_exact(
             fresh = [
                 g
                 for g in separate_gsec(point, instance, include_min_cut=choice is not None)
-                if (g.S, g.anchor) not in pooled_gsec
+                if g not in pooled_gsec
             ]
             if fresh:
                 # the core holds the pool; one re-solve per round
-                pooled_gsec.update((g.S, g.anchor) for g in fresh)
+                pooled_gsec.update(fresh)
                 rows = [gsec_row(g, root) for g in fresh]
                 sol = counted(resolve_with_added_row, core, rows)
                 stats["gsec_cuts"] += len(fresh)
@@ -629,31 +572,28 @@ def solve_exact(
 
             if choice is not None:
                 col, value = choice
-                push_children(
-                    col, float(math.floor(value)), float(math.ceil(value)), obj, sol
-                )
+                down = node.upper.copy()
+                down[col] = math.floor(value)
+                if root.n_edges <= col < root.col_theta:  # y_t fixed to 0
+                    down[root.col_theta] = min(down[root.col_theta], _theta_cap(root, down))
+                up = node.lower.copy()
+                up[col] = math.ceil(value)
+                # the up child is pushed last, so it is solved first
+                for lo, hi in ((node.lower, down), (up, node.upper)):
+                    stack.append(
+                        BranchNode(lo, hi, node.depth + 1, obj, node_id, sol.basis, sol.x)
+                    )
                 note("branch", obj)
                 break
 
-            decoded, _ = decode_tours(point.x, instance)
-            if decoded is None:
-                unfixed = next(
-                    (
-                        idx
-                        for idx in range(root.n_edges)
-                        if round(float(point.x[idx])) >= 1
-                        and not any(c == idx for _, c, _ in node.fixings)
-                    ),
-                    None,
-                )
-                if unfixed is None:
-                    note("prune", obj)  # fully fixed defective point
-                    break
-                v = round(float(point.x[unfixed]))
-                push_children(unfixed, float(v - 1), float(v), obj, sol)
-                note("branch", obj)
+            try:
+                decoded = decode_tours(point.x, instance)
+            except ValueError as exc:
+                # the LP broke its own rows: stop, handing the node back
+                # with the bound its last LP proved
+                failed(exc)
+                stack.append(node)
                 break
-
             z_q = expected_length(decoded, instance, check=False)
             q_val = deterministic_length(decoded, instance) - z_q
             if z_q < z_best - PRUNE_TOL:
@@ -663,7 +603,6 @@ def solve_exact(
             if point.theta <= q_val + PRUNE_TOL:
                 note("prune", obj)
                 break
-            # built from the LP point, so junk edges join the support
             row = _recourse_cut(point.x, q_val, root.U, root)
             sol = counted(resolve_with_added_row, core, [row])
             stats["opt_cuts"] += 1

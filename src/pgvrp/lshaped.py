@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import EQ, GE, LinearProgram, SimplexOptions, solve
+from .simplex import EQ, GE, LinearProgram, solve
 
 THETA_SPAN = 1e12  # stand-in for an unbounded-below theta before any cut
+TOL = 1e-7  # relative slack of the feasibility and convergence tests
+MAX_ITERATIONS = 500
 
 
 class LShapedError(RuntimeError):
@@ -132,16 +134,14 @@ def extensive_form(problem: TwoStageLP) -> LinearProgram:
     return LinearProgram(c=c, A=rows, senses=[EQ] * (m1 + K * m2), b=rhs)
 
 
-def recourse_Q(
-    problem: TwoStageLP, x: np.ndarray, k: int, options: SimplexOptions | None = None
-) -> tuple[float, np.ndarray | None]:
+def recourse_Q(problem: TwoStageLP, x: np.ndarray, k: int) -> tuple[float, np.ndarray | None]:
     """Scenario recourse value and duals; (inf, None) when infeasible."""
     s = problem.scenarios[k]
     rhs = s.h - s.T @ x
     lp = LinearProgram(
         c=s.q, A=problem.W, senses=[EQ] * problem.W.shape[0], b=rhs
     )
-    sol = solve(lp, options)
+    sol = solve(lp)
     if sol.status == "unbounded":
         raise UnboundedRecourse(f"scenario {k} recourse unbounded below")
     if sol.status == "infeasible":
@@ -150,7 +150,7 @@ def recourse_Q(
 
 
 def _feasibility_subproblem(
-    problem: TwoStageLP, x: np.ndarray, k: int, options: SimplexOptions | None
+    problem: TwoStageLP, x: np.ndarray, k: int
 ) -> tuple[float, np.ndarray]:
     """min 1.v+ + 1.v- of the slacked recourse rows; duals price violation."""
     s = problem.scenarios[k]
@@ -159,15 +159,13 @@ def _feasibility_subproblem(
     eye = np.eye(m2)
     A = np.hstack([problem.W, eye, -eye])
     c = np.concatenate([np.zeros(n2), np.ones(2 * m2)])
-    sol = solve(LinearProgram(c=c, A=A, senses=[EQ] * m2, b=rhs), options)
+    sol = solve(LinearProgram(c=c, A=A, senses=[EQ] * m2, b=rhs))
     if sol.status != "optimal":
         raise LShapedError("feasibility subproblem must be solvable")
     return sol.objective, sol.duals
 
 
-def _master(
-    problem: TwoStageLP, cuts: CutSet, have_opt_cut: bool
-) -> LinearProgram:
+def _master(problem: TwoStageLP, cuts: CutSet) -> LinearProgram:
     """Master over (x, theta+, theta-); theta = theta+ - theta-.
 
     theta is free in sign but clipped at -THETA_SPAN from below so the
@@ -197,13 +195,7 @@ def _master(
     return LinearProgram(c=c, A=A, senses=senses, b=np.array(rhs), upper=upper)
 
 
-def lshape_solve(
-    problem: TwoStageLP,
-    tol: float = 1e-7,
-    max_iterations: int = 500,
-    all_violations: bool = False,
-    options: SimplexOptions | None = None,
-) -> LShapedResult:
+def lshape_solve(problem: TwoStageLP, all_violations: bool = False) -> LShapedResult:
     """Iterate master and subproblems until theta certifies the recourse.
 
     `all_violations` switches the feasibility pass from stop-at-first to
@@ -212,8 +204,8 @@ def lshape_solve(
     cuts = CutSet()
     trace: list[tuple[float, float]] = []
     K = len(problem.scenarios)
-    for v in range(1, max_iterations + 1):
-        master = solve(_master(problem, cuts, bool(cuts.optimality)), options)
+    for v in range(1, MAX_ITERATIONS + 1):
+        master = solve(_master(problem, cuts))
         if master.status == "infeasible":
             if cuts.feasibility:
                 raise SecondStageInfeasible(
@@ -227,8 +219,8 @@ def lshape_solve(
 
         found_violation = False
         for k in range(K):
-            w_feas, sigma = _feasibility_subproblem(problem, x, k, options)
-            if w_feas > tol * (1.0 + float(np.abs(problem.scenarios[k].h).sum())):
+            w_feas, sigma = _feasibility_subproblem(problem, x, k)
+            if w_feas > TOL * (1.0 + float(np.abs(problem.scenarios[k].h).sum())):
                 s = problem.scenarios[k]
                 cuts.feasibility.append((sigma @ s.T, float(sigma @ s.h)))
                 found_violation = True
@@ -243,7 +235,7 @@ def lshape_solve(
         expected = 0.0
         for k in range(K):
             s = problem.scenarios[k]
-            value, pi = recourse_Q(problem, x, k, options)
+            value, pi = recourse_Q(problem, x, k)
             if pi is None:
                 raise LShapedError(
                     "scenario became infeasible after passing the feasibility pass"
@@ -253,10 +245,10 @@ def lshape_solve(
             expected += s.probability * value
         w_v = e - float(E @ x)
         trace.append((float(master.objective), expected))
-        if theta >= w_v - tol * (1.0 + abs(w_v)):
+        if theta >= w_v - TOL * (1.0 + abs(w_v)):
             objective = float(problem.c @ x) + w_v
             return LShapedResult(
                 x=x, theta=w_v, objective=objective, cuts=cuts, iterations=v, trace=trace
             )
         cuts.optimality.append((E, e))
-    raise LShapedError(f"no convergence in {max_iterations} iterations")
+    raise LShapedError(f"no convergence in {MAX_ITERATIONS} iterations")

@@ -182,9 +182,6 @@ class AprioriSolution:
     def __post_init__(self):
         object.__setattr__(self, "tours", tuple(tuple(t) for t in self.tours))
 
-    def interiors(self) -> list[tuple[int, ...]]:
-        return [t[1:-1] for t in self.tours]
-
     def visited_nodes(self) -> set[int]:
         return {v for t in self.tours for v in t[1:-1]}
 

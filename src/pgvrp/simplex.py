@@ -51,13 +51,13 @@ class SimplexError(RuntimeError):
 
 TOL_FEAS = 1e-8  # largest bound violation of a basic value deemed feasible
 TOL_OPT = 1e-8  # smallest reduced-cost violation that lets a column enter
+MAX_ITERATIONS = 200_000  # pivots one solve may take before it fails
 
 
 @dataclass
 class SimplexOptions:
     tol_pivot: float = 1e-10
     stall_limit: int = 400
-    max_iterations: int = 200_000
     refactor_every: int = 120
 
 
@@ -263,7 +263,7 @@ class _Core:
         """Iterate to optimality; returns 'optimal' or 'unbounded'."""
         best_obj, stall = np.inf, 0
         while True:
-            if self.iterations > self.opt.max_iterations:
+            if self.iterations > MAX_ITERATIONS:
                 raise SimplexError("iteration limit exceeded")
             rc = self.reduced_costs(cost)
             viol = np.where(self.at_upper, rc, -rc)
@@ -346,7 +346,7 @@ class _Core:
         rc = self.reduced_costs(cost)
         best_obj, stall = -np.inf, 0
         while True:
-            if self.iterations > self.opt.max_iterations:
+            if self.iterations > MAX_ITERATIONS:
                 raise SimplexError("iteration limit exceeded (dual)")
             ubB = self.ub[self.basis]
             below = -self.xB

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pgvrp import bounds
 from pgvrp.bench import SuiteSpec, generate
 from pgvrp.evaluation import expected_length, expected_recourse
 from pgvrp import exact
@@ -204,12 +205,28 @@ def test_decode_roundtrip(rng):
     budget = EnumerationBudget(max_nodes=8, max_clusters=4, max_vehicles=2)
     for inst in small_instances(rng, 5):
         for sol in enumerate_apriori_solutions(inst, budget):
-            pt = incidence_point(inst, sol)
-            decoded, junk = decode_tours(pt.x, inst)
-            assert junk == 0
-            assert decoded is not None
+            decoded = decode_tours(incidence_point(inst, sol).x, inst)
             assert decoded.canonical() == sol.canonical()
             break
+
+
+def test_decode_rejects_edges_that_are_not_depot_cycles():
+    inst = explicit_instance(
+        np.ones((6, 6)) - np.eye(6), [(0.9, [v]) for v in range(1, 6)], vehicles=1
+    )
+    defects = {
+        "a cycle misses the depot": [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (3, 5)],
+        "node 1 has degree 4": [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (1, 4)],
+        "depot degree 4, not 2": [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+    }
+    for reason, edges in defects.items():
+        x = np.zeros(15)
+        for e in edges:
+            x[edge_position(6, *e)] = 1.0
+        with pytest.raises(ValueError, match=reason):
+            decode_tours(x, inst)
+    with pytest.raises(ValueError):
+        decode_tours(-np.eye(15)[0], inst)  # a negative edge count
 
 
 def test_exact_matches_oracle_small_batch(rng):
@@ -461,3 +478,77 @@ def test_lp_failure_past_cold_fallback_stops_with_bound(monkeypatch):
     assert res.stats["lp_failure"] == "node 1: forced cold failure"
     assert res.lower_bound == objectives[-1]
     assert 0.0 < res.lower_bound <= res.objective
+
+
+def test_undecodable_point_stops_with_bound(rng, monkeypatch):
+    # an integral point that is not K depot cycles stops the search like an
+    # LP that failed even cold: the node goes back with its LP bound
+    calls = [0]
+
+    def broken(x, instance):
+        calls[0] += 1
+        raise ValueError("forced defect")
+
+    monkeypatch.setattr(exact, "decode_tours", broken)
+    res = solve_exact(random_euclid_instance(rng, 7, 3, 1))
+    assert calls[0] == 1
+    assert res.status == "bound-only"
+    assert res.stats["lp_failure"] == f"node {res.stats['nodes']}: forced defect"
+    assert math.isfinite(res.lower_bound)
+    assert 0.0 < res.lower_bound <= res.objective
+
+
+def test_theta_cap_follows_the_exclusion_chain(monkeypatch):
+    # every node's recourse cap, read from the bounds warm_solve gets,
+    # equals the reference chain: U at the root, and
+    # min(u_parent, _u_for_exclusions(root, excluded)) below each branch
+    # that fixes some y to 0, clipped into [0, max(U, 0)]
+    inst = generate(SuiteSpec(seed=0))[3]
+    root = build_root(inst)
+
+    def excluded(node):
+        ys = node.upper[root.n_edges : root.col_theta]
+        return frozenset(np.flatnonzero(ys == 0.0).tolist())
+
+    def u_for_exclusions(excl):
+        detour = root.detour.copy()
+        detour[list(excl)] = 0.0
+        return min(bounds.ub_clustered(inst, detour), root.U)
+
+    # a mirror of the search stack, and the popped nodes in id order
+    open_nodes, popped, checked = [], [], [0]
+    real_node, real_warm = exact.BranchNode, exact.warm_solve
+
+    def branch_node(*args, **kwargs):
+        node = real_node(*args, **kwargs)
+        if node.parent is None:
+            node.u_ref = root.U
+            popped.append(node)  # the root is popped at once
+            return node
+        parent = popped[-1]  # children are made while their parent is solved
+        assert node.parent == len(popped)
+        excl = excluded(node)
+        node.u_ref = (
+            parent.u_ref
+            if excl == excluded(parent)
+            else min(parent.u_ref, u_for_exclusions(excl))
+        )
+        open_nodes.append(node)
+        return node
+
+    def warm(core, lower, upper, *args):
+        while True:  # nodes above this one were pruned at their pop
+            node = open_nodes.pop()
+            popped.append(node)
+            if np.array_equal(node.lower, lower) and np.array_equal(node.upper, upper):
+                break
+        assert upper[root.col_theta] == min(max(root.U, 0.0), max(node.u_ref, 0.0))
+        checked[0] += 1
+        return real_warm(core, lower, upper, *args)
+
+    monkeypatch.setattr(exact, "BranchNode", branch_node)
+    monkeypatch.setattr(exact, "warm_solve", warm)
+    res = solve_exact(inst, node_limit=300)
+    assert res.stats["nodes"] == 300
+    assert checked[0] > 200
+    assert any(n.u_ref < root.U for n in popped)  # some cap did drop

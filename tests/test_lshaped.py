@@ -168,7 +168,7 @@ def test_k2p_midpoint_convexity(rng):
         for _ in range(20):
             x = rng.uniform(0, 3, size=n1)
             ok = all(
-                _feasibility_subproblem(prob, x, k, None)[0] <= 1e-9
+                _feasibility_subproblem(prob, x, k)[0] <= 1e-9
                 for k in range(len(prob.scenarios))
             )
             if ok:
@@ -179,7 +179,7 @@ def test_k2p_midpoint_convexity(rng):
             continue
         mid = 0.5 * (xs[0] + xs[1])
         for k in range(len(prob.scenarios)):
-            w, _ = _feasibility_subproblem(prob, mid, k, None)
+            w, _ = _feasibility_subproblem(prob, mid, k)
             assert w <= 1e-7
         found += 1
 
